@@ -42,22 +42,21 @@ lint: vet
 	fi
 
 # bench refreshes the committed engine perf baseline: run the hot-loop
-# engine benchmarks plus the per-codec kernel/reference pairs with
+# engine benchmark plus the per-codec kernel/reference pairs with
 # -benchmem and render them as BENCH_engine.json via cmd/benchjson. The
-# comparison block asserts the pooled engine against the legacy-shaped
-# (pooling-disabled) run; the codecs block carries the kernel-vs-scalar
-# speedup per codec, which bench-gate (and CI) holds to its floors.
+# codecs block carries the kernel-vs-scalar speedup per codec.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngineRun|BenchmarkLegacySimRun|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
+		-bench 'BenchmarkEngineRun|BenchmarkBCHDecode|BenchmarkSECDEDLineDecode|BenchmarkOnDieDecode' \
 		-benchmem -benchtime 2s -count 1 \
 		./internal/engine ./internal/ecc ./internal/ondie | tee /dev/stderr | \
 		$(GO) run ./cmd/benchjson > BENCH_engine.json
 	@echo "bench: wrote BENCH_engine.json"
 
-# bench-gate enforces the codec kernel speedup floors (BCH line decode
-# >= 5x, SECDED line decode >= 3x over the scalar reference) against the
-# committed baseline.
+# bench-gate enforces, against the committed baseline, the engine run's
+# absolute budget (BenchmarkEngineRun <= 7 allocs/op and <= 4096 B/op)
+# and the codec kernel speedup floors (BCH line decode >= 5x, SECDED
+# line decode >= 3x over the scalar reference).
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_engine.json
 

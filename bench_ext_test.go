@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -26,11 +27,11 @@ func BenchmarkF13Leveling(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("kv-store", b)
-		bare, err := core.RunOneWithOptions(sys, m, w, core.Options{})
+		bare, err := core.RunOneWithOptionsContext(context.Background(), sys, m, w, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		lev, err := core.RunOneWithOptions(sys, m, w, core.Options{GapMovePeriod: 100})
+		lev, err := core.RunOneWithOptionsContext(context.Background(), sys, m, w, core.Options{GapMovePeriod: 100})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func BenchmarkF15Replication(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := core.RunReplicated(sys, m, benchWorkload("idle-archive", b), 3)
+		rep, err := core.RunReplicatedContext(context.Background(), sys, m, benchWorkload("idle-archive", b), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,11 +133,11 @@ func BenchmarkF17SLC(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("idle-archive", b)
-		mlc, err := core.RunOneWithOptions(sys, m, w, core.Options{})
+		mlc, err := core.RunOneWithOptionsContext(context.Background(), sys, m, w, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		slc, err := core.RunOneWithOptions(sys, m, w, core.Options{SLCFraction: 1})
+		slc, err := core.RunOneWithOptionsContext(context.Background(), sys, m, w, core.Options{SLCFraction: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func BenchmarkF18DetectionRace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.RunOne(sys, m, benchWorkload("web-serve", b))
+		res, err := core.RunOneWithOptionsContext(context.Background(), sys, m, benchWorkload("web-serve", b), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,11 +201,11 @@ func BenchmarkF20ECP(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("idle-archive", b)
-		bare, err := core.RunOneWithOptions(sys, m, w, core.Options{})
+		bare, err := core.RunOneWithOptionsContext(context.Background(), sys, m, w, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		withECP, err := core.RunOneWithOptions(sys, m, w, core.Options{ECPEntries: 6})
+		withECP, err := core.RunOneWithOptionsContext(context.Background(), sys, m, w, core.Options{ECPEntries: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +49,7 @@ func runMech(b *testing.B, sys core.System, mechName, workload string) *simResul
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := core.RunOne(sys, m, benchWorkload(workload, b))
+	r, err := core.RunOneWithOptionsContext(context.Background(), sys, m, benchWorkload(workload, b), core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func BenchmarkF6LightDetect(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := benchWorkload("web-serve", b)
-		rFull, err := core.RunOne(sys, m1, w)
+		rFull, err := core.RunOneWithOptionsContext(context.Background(), sys, m1, w, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rLight, err := core.RunOne(sys, m2, w)
+		rLight, err := core.RunOneWithOptionsContext(context.Background(), sys, m2, w, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func BenchmarkF7ThresholdSweep(b *testing.B) {
 				}),
 				Interval: interval,
 			}
-			r, err := core.RunOne(sys, mech, benchWorkload("idle-archive", b))
+			r, err := core.RunOneWithOptionsContext(context.Background(), sys, mech, benchWorkload("idle-archive", b), core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -322,11 +323,11 @@ func BenchmarkF12Adaptive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rF, err := core.RunOne(sys, mF, phased)
+		rF, err := core.RunOneWithOptionsContext(context.Background(), sys, mF, phased, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rA, err := core.RunOne(sys, mA, phased)
+		rA, err := core.RunOneWithOptionsContext(context.Background(), sys, mA, phased, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,9 +8,7 @@
 //	go test -bench . -benchmem ./internal/engine | benchjson > BENCH_engine.json
 //
 // The output keeps the benchstat-friendly raw lines alongside the parsed
-// numbers, and — when both the pooled engine and the legacy-shaped
-// benchmark are present — computes the allocation and time reduction of
-// the pooled path, the figures the issue's acceptance bar is stated in.
+// numbers.
 //
 // Codec benchmark pairs (a sub-benchmark plus its ".../ref" scalar
 // sibling, see internal/ecc and internal/ondie) are additionally folded
@@ -21,9 +19,12 @@
 //
 // re-reads a committed baseline and fails unless every gated codec holds
 // its ratio floor (BCH line decode >= -min-bch, SECDED line decode >=
-// -min-secded); CI runs it after `make bench`. Ratios are gated rather
-// than wall-clock numbers because both sides of a pair run on the same
-// box in the same process, so machine noise largely cancels.
+// -min-secded) and BenchmarkEngineRun stays within its absolute budget
+// of maxEngineAllocs allocs/op and maxEngineBytes B/op; CI runs it after
+// `make bench`. Ratios and allocation counts are gated rather than
+// wall-clock numbers: both sides of a pair run on the same box in the
+// same process, so machine noise largely cancels, and allocation counts
+// do not depend on the machine at all.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -53,17 +55,6 @@ type Benchmark struct {
 	Raw string `json:"raw"`
 }
 
-// Comparison relates the pooled engine benchmark to the legacy-shaped
-// one (pooling disabled), expressing the refactor's win as percentages.
-type Comparison struct {
-	Engine string `json:"engine"`
-	Legacy string `json:"legacy"`
-	// AllocReductionPct is 100*(1 - engine.allocs/legacy.allocs).
-	AllocReductionPct float64 `json:"alloc_reduction_pct"`
-	BytesReductionPct float64 `json:"bytes_reduction_pct"`
-	TimeReductionPct  float64 `json:"time_reduction_pct"`
-}
-
 // CodecComparison relates one codec's kernel benchmark to its ".../ref"
 // scalar sibling. Speedup is ref_ns/kernel_ns, the ratio CI gates.
 type CodecComparison struct {
@@ -84,17 +75,16 @@ type Report struct {
 	Package    string            `json:"pkg,omitempty"`
 	CPU        string            `json:"cpu,omitempty"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
-	Comparison *Comparison       `json:"comparison,omitempty"`
 	Codecs     []CodecComparison `json:"codecs,omitempty"`
 }
 
 func main() {
-	gateFile := flag.String("gate", "", "gate mode: read this BENCH json file and fail if any codec speedup is below its floor")
+	gateFile := flag.String("gate", "", "gate mode: read this BENCH json file and fail if any codec speedup is below its floor or the engine run exceeds its allocation budget")
 	minBCH := flag.Float64("min-bch", 5, "minimum BCHDecode kernel speedup in gate mode")
 	minSECDED := flag.Float64("min-secded", 3, "minimum SECDEDLineDecode kernel speedup in gate mode")
 	flag.Parse()
 	if *gateFile != "" {
-		if err := gate(*gateFile, *minBCH, *minSECDED); err != nil {
+		if err := gate(os.Stdout, *gateFile, *minBCH, *minSECDED); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -114,24 +104,36 @@ func run(in *os.File, out *os.File) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin (run with `go test -bench . -benchmem`)")
 	}
-	rep.Comparison = compare(rep.Benchmarks)
 	rep.Codecs = codecComparisons(rep.Benchmarks)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
 
-// gate re-reads an emitted report and enforces the codec speedup floors:
-// every BCHDecode pair must hold minBCH and every SECDEDLineDecode pair
-// minSECDED (other pairs, like OnDieDecode, are informational). Both
-// families must be present — an empty block must fail, not pass.
-func gate(path string, minBCH, minSECDED float64) error {
+// The engine run's absolute budget. A warm BenchmarkEngineRun allocates
+// 7 objects and ~3.9 KB per run; losing any pooling layer (scratch
+// recycling, the sampler cache, batched endurance draws) multiplies both.
+const (
+	engineBench     = "BenchmarkEngineRun"
+	maxEngineAllocs = 7
+	maxEngineBytes  = 4096
+)
+
+// gate re-reads an emitted report and enforces the engine run's budget
+// and the codec speedup floors: every BCHDecode pair must hold minBCH and
+// every SECDEDLineDecode pair minSECDED (other pairs, like OnDieDecode,
+// are informational). The engine benchmark and both codec families must
+// be present — a missing entry must fail, not pass.
+func gate(w io.Writer, path string, minBCH, minSECDED float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := gateEngine(w, rep.Benchmarks); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	var gatedBCH, gatedSECDED int
@@ -154,7 +156,7 @@ func gate(path string, minBCH, minSECDED float64) error {
 				failed = append(failed, c.Name)
 			}
 		}
-		fmt.Printf("%-28s kernel %10.1f ns/op  ref %10.1f ns/op  speedup %5.2fx  [%s]\n",
+		fmt.Fprintf(w, "%-28s kernel %10.1f ns/op  ref %10.1f ns/op  speedup %5.2fx  [%s]\n",
 			c.Name, c.KernelNs, c.RefNs, c.Speedup, status)
 	}
 	if gatedBCH == 0 || gatedSECDED == 0 {
@@ -278,31 +280,22 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// compare pairs the pooled engine benchmark with the legacy-shaped one;
-// nil when either is absent or lacks -benchmem columns.
-func compare(bs []Benchmark) *Comparison {
-	var engine, legacy *Benchmark
-	for i := range bs {
-		switch {
-		case strings.HasPrefix(bs[i].Name, "BenchmarkEngineRun"):
-			engine = &bs[i]
-		case strings.HasPrefix(bs[i].Name, "BenchmarkLegacySimRun"):
-			legacy = &bs[i]
+// gateEngine holds BenchmarkEngineRun to its allocation and byte budget.
+func gateEngine(w io.Writer, bs []Benchmark) error {
+	for _, b := range bs {
+		if stripCPUSuffix(b.Name) != engineBench {
+			continue
 		}
-	}
-	if engine == nil || legacy == nil ||
-		engine.AllocsPerOp < 0 || legacy.AllocsPerOp <= 0 ||
-		legacy.BytesPerOp <= 0 || legacy.NsPerOp <= 0 {
+		if b.AllocsPerOp < 0 || b.BytesPerOp < 0 {
+			return fmt.Errorf("%s lacks -benchmem columns", b.Name)
+		}
+		fmt.Fprintf(w, "%-28s %6d allocs/op (budget %d)  %6d B/op (budget %d)\n",
+			engineBench, b.AllocsPerOp, maxEngineAllocs, b.BytesPerOp, maxEngineBytes)
+		if b.AllocsPerOp > maxEngineAllocs || b.BytesPerOp > maxEngineBytes {
+			return fmt.Errorf("%s over its allocation budget: %d allocs/op, %d B/op (budget %d, %d)",
+				engineBench, b.AllocsPerOp, b.BytesPerOp, maxEngineAllocs, maxEngineBytes)
+		}
 		return nil
 	}
-	pct := func(eng, leg float64) float64 {
-		return 100 * (1 - eng/leg)
-	}
-	return &Comparison{
-		Engine:            engine.Name,
-		Legacy:            legacy.Name,
-		AllocReductionPct: pct(float64(engine.AllocsPerOp), float64(legacy.AllocsPerOp)),
-		BytesReductionPct: pct(float64(engine.BytesPerOp), float64(legacy.BytesPerOp)),
-		TimeReductionPct:  pct(engine.NsPerOp, legacy.NsPerOp),
-	}
+	return fmt.Errorf("%s missing from the report", engineBench)
 }

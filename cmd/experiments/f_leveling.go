@@ -32,7 +32,7 @@ func runF13(env *environment) ([]core.Table, error) {
 		}
 		for _, period := range []uint64{0, 100} {
 			levSys := sys
-			res, err := env.runOneWithLeveling(levSys, mech, w, period)
+			res, err := env.runOneWithOptions(levSys, mech, w, core.Options{GapMovePeriod: period})
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,6 @@ import (
 	"repro/internal/ondie"
 	"repro/internal/scrub"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -196,7 +195,7 @@ func run() error {
 	if *record != "" {
 		return recordTrace(sys, w, *record)
 	}
-	var source sim.TrafficSource
+	var source engine.TrafficSource
 	if *traceIn != "" {
 		source, err = loadTrace(sys, *traceIn)
 		if err != nil {
@@ -288,7 +287,7 @@ func printStages(rec *engine.SpanRecorder) error {
 // printReport renders the standard run report — shared by local runs and
 // remote results reconstructed from a scrubd job. showGap adds the
 // wear-leveler row, which only local runs can enable.
-func printReport(sys core.System, mech core.Mechanism, w trace.Workload, res *sim.Result, showGap bool) error {
+func printReport(sys core.System, mech core.Mechanism, w trace.Workload, res *engine.Result, showGap bool) error {
 	fmt.Printf("mechanism  %s (scheme %s, policy %s)\n", mech.Name, mech.Scheme.Name(), mech.Policy.Name())
 	fmt.Printf("workload   %s\n", w.Name)
 	fmt.Printf("region     %d lines (%d KiB data), horizon %s, initial interval %s\n",
@@ -615,7 +614,7 @@ func recordTrace(sys core.System, w trace.Workload, path string) error {
 
 // loadTrace reads a trace file and wraps it in a replayer sized to the
 // simulated region.
-func loadTrace(sys core.System, path string) (sim.TrafficSource, error) {
+func loadTrace(sys core.System, path string) (engine.TrafficSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

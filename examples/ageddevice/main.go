@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -49,7 +50,7 @@ func main() {
 		Header: []string{"configuration", "UEs", "scrub writes", "stuck covered", "max slot writes", "energy"},
 	}
 	for _, c := range configs {
-		res, err := core.RunOneWithOptions(sys, mech, workload, c.opts)
+		res, err := core.RunOneWithOptionsContext(context.Background(), sys, mech, workload, c.opts)
 		if err != nil {
 			log.Fatal(err)
 		}

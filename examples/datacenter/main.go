@@ -8,14 +8,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/memctrl"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wear"
 )
@@ -45,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.RunOne(sys, mech, workload)
+		res, err := core.RunOneWithOptionsContext(context.Background(), sys, mech, workload, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +89,7 @@ type fleetNumbers struct {
 
 // extrapolate scales a sampled-region result to fleet capacity: counts and
 // energies scale with the line ratio; per-line rates are intensive.
-func extrapolate(sys core.System, res *sim.Result) *fleetNumbers {
+func extrapolate(sys core.System, res *engine.Result) *fleetNumbers {
 	f := &fleetNumbers{}
 	serverGB := float64(serverGiB) * (1 << 30) / 1e9
 	perServerUEs := res.UERatePerGBDay(lineBytes) * serverGB * 7

@@ -14,15 +14,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/ecc"
+	"repro/internal/engine"
 	"repro/internal/ondie"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -57,7 +58,7 @@ func main() {
 	mech.Interval = sys.Horizon / 32
 
 	// Run 1: bare chip, every raw error is controller-visible.
-	bare, err := core.RunOne(sys, mech, w)
+	bare, err := core.RunOneWithOptionsContext(context.Background(), sys, mech, w, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 	// Run 2: on-die SECDED under the same uniform patrol.
 	osys := sys
 	osys.OnDie = &ondie.Config{T: 1}
-	hidden, err := core.RunOne(osys, mech, w)
+	hidden, err := core.RunOneWithOptionsContext(context.Background(), osys, mech, w, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func main() {
 	// interval, plus profiling rounds and at-risk patrol bias.
 	pm := mech
 	pm.Policy = scrub.ProfiledThreshold(1)
-	profiled, err := core.RunOne(osys, pm, w)
+	profiled, err := core.RunOneWithOptionsContext(context.Background(), osys, pm, w, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,14 +84,14 @@ func main() {
 		Title:  "What the controller sees (aged device, BCH-4 controller)",
 		Header: []string{"metric", "no on-die ECC", "on-die SECDED", "on-die + profiling"},
 	}
-	row := func(name string, f func(*sim.Result) string) {
+	row := func(name string, f func(*engine.Result) string) {
 		vis.AddRow(name, f(bare), f(hidden), f(profiled))
 	}
-	row("controller corrected bits", func(r *sim.Result) string { return core.FmtCount(r.CorrectedBits) })
-	row("hidden corrected bits", func(r *sim.Result) string { return core.FmtCount(r.OnDieCorrectedBits) })
-	row("on-die overflows", func(r *sim.Result) string { return core.FmtCount(r.OnDieOverflows) })
-	row("uncorrectable errors", func(r *sim.Result) string { return core.FmtCount(r.UEs) })
-	row("scrub visits", func(r *sim.Result) string { return core.FmtCount(r.ScrubVisits) })
+	row("controller corrected bits", func(r *engine.Result) string { return core.FmtCount(r.CorrectedBits) })
+	row("hidden corrected bits", func(r *engine.Result) string { return core.FmtCount(r.OnDieCorrectedBits) })
+	row("on-die overflows", func(r *engine.Result) string { return core.FmtCount(r.OnDieOverflows) })
+	row("uncorrectable errors", func(r *engine.Result) string { return core.FmtCount(r.UEs) })
+	row("scrub visits", func(r *engine.Result) string { return core.FmtCount(r.ScrubVisits) })
 	if err := vis.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -54,7 +55,7 @@ func main() {
 	}
 	for _, p := range policies {
 		mech := core.Mechanism{Name: p.Name(), Scheme: scheme, Policy: p, Interval: interval}
-		res, err := core.RunOne(sys, mech, w)
+		res, err := core.RunOneWithOptionsContext(context.Background(), sys, mech, w, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,11 +37,11 @@ func main() {
 	}
 
 	// 4. Run them.
-	rBasic, err := core.RunOne(sys, basic, workload)
+	rBasic, err := core.RunOneWithOptionsContext(context.Background(), sys, basic, workload, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rCombined, err := core.RunOne(sys, combined, workload)
+	rCombined, err := core.RunOneWithOptionsContext(context.Background(), sys, combined, workload, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

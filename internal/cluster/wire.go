@@ -21,8 +21,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // Protocol paths. Workers mount ShardPath; coordinators mount JoinPath,
@@ -79,10 +79,10 @@ type ShardFailure struct {
 // field survives the JSON round trip exactly, which is what makes the
 // merged campaign bit-identical to a local run.
 type ShardResponse struct {
-	First   int           `json:"first"`
-	Count   int           `json:"count"`
-	Results []*sim.Result `json:"results"`
-	Retried int           `json:"retried"`
+	First   int              `json:"first"`
+	Count   int              `json:"count"`
+	Results []*engine.Result `json:"results"`
+	Retried int              `json:"retried"`
 	// Failures lists replicas with no result (absolute indices).
 	Failures []ShardFailure `json:"failures,omitempty"`
 }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/pcm"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wear"
 )
@@ -82,15 +81,20 @@ func FixedIntervalFor(sys System, tolerable int) (float64, error) {
 	return interval, nil
 }
 
+// writeThreshold is the error count at which the threshold and combined
+// mechanisms write a scrubbed line back.
+const writeThreshold = 6
+
 // Suite returns the paper's mechanism ladder:
 //
 //	basic            SECDED, full decode, write on error, fixed interval
 //	strong-ecc       BCH-8, otherwise like basic (longer safe interval)
 //	light-detect     strong-ecc plus the cheap probe on clean lines
-//	threshold        light-detect plus write-back only at ≥ thr errors
+//	threshold        light-detect plus write-back only at ≥ writeThreshold errors
 //	combined         threshold plus wear-awareness plus adaptive interval
 //
-// Intervals are derived from the drift model against sys.RiskTarget.
+// Intervals are derived from the drift model against sys.RiskTarget; the
+// combined entry is built exactly as CombinedMechanism builds it.
 func Suite(sys System) ([]Mechanism, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -110,29 +114,14 @@ func Suite(sys System) ([]Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	const thr = 6
-	adaptive := scrub.DefaultAdaptive()
-	// Never grow past the drift-derived safe interval: beyond it, a single
-	// sweep over lines that stopped being rewritten (a workload phase
-	// change) can overshoot the ECC margin before the controller reacts.
-	// Adaptivity earns its keep *below* the safe bound, shrinking when
-	// threshold write-backs let errors ride across sweeps.
-	adaptive.MaxInterval = math.Min(sys.Horizon/4, strongInterval)
-	combined := scrub.MustNew(scrub.Config{
-		Label:          "combined",
-		Detect:         scrub.LightDetect,
-		WriteThreshold: thr,
-		WearAware:      true,
-		Adaptive:       &adaptive,
-	})
 	return []Mechanism{
 		{Name: "basic", Scheme: secded, Policy: scrub.Basic(), Interval: basicInterval},
 		{Name: "strong-ecc", Scheme: bch8, Policy: scrub.Basic(), Interval: strongInterval},
 		{Name: "light-detect", Scheme: bch8, Policy: scrub.LightBasic(), Interval: strongInterval},
 		{Name: "threshold", Scheme: bch8, Policy: scrub.MustNew(scrub.Config{
-			Label: "threshold", Detect: scrub.LightDetect, WriteThreshold: thr,
+			Label: "threshold", Detect: scrub.LightDetect, WriteThreshold: writeThreshold,
 		}), Interval: strongInterval},
-		{Name: "combined", Scheme: bch8, Policy: combined, Interval: strongInterval},
+		combinedMechanism(sys, bch8, strongInterval),
 	}, nil
 }
 
@@ -152,7 +141,20 @@ func CombinedMechanism(sys System) (Mechanism, error) {
 	if err != nil {
 		return Mechanism{}, err
 	}
+	return combinedMechanism(sys, bch8, strongInterval), nil
+}
+
+// combinedMechanism builds the combined mechanism on a BCH-8 scheme and
+// its drift-derived safe interval, so Suite and CombinedMechanism share
+// one policy construction.
+func combinedMechanism(sys System, bch8 *ecc.BCHLine, strongInterval float64) Mechanism {
 	adaptive := scrub.DefaultAdaptive()
+	// Never grow past the drift-derived safe interval: beyond it, a single
+	// sweep over lines that stopped being rewritten (a workload phase
+	// change) can overshoot the ECC margin before the controller reacts.
+	// Adaptivity earns its keep *below* the safe bound, shrinking when
+	// threshold write-backs let errors ride across sweeps. Short horizons
+	// pull the cap below the default floor, so the floor follows it down.
 	adaptive.MaxInterval = math.Min(sys.Horizon/4, strongInterval)
 	if adaptive.MinInterval > adaptive.MaxInterval {
 		adaptive.MinInterval = adaptive.MaxInterval / 4
@@ -160,11 +162,11 @@ func CombinedMechanism(sys System) (Mechanism, error) {
 	policy := scrub.MustNew(scrub.Config{
 		Label:          "combined",
 		Detect:         scrub.LightDetect,
-		WriteThreshold: 6,
+		WriteThreshold: writeThreshold,
 		WearAware:      true,
 		Adaptive:       &adaptive,
 	})
-	return Mechanism{Name: "combined", Scheme: bch8, Policy: policy, Interval: strongInterval}, nil
+	return Mechanism{Name: "combined", Scheme: bch8, Policy: policy, Interval: strongInterval}
 }
 
 // SuiteMechanism returns the named mechanism from Suite.
@@ -181,53 +183,33 @@ func SuiteMechanism(sys System, name string) (Mechanism, error) {
 	return Mechanism{}, fmt.Errorf("core: unknown mechanism %q", name)
 }
 
-// RunOne simulates one mechanism under one workload. Suite-produced
-// policies are stateless, so a Mechanism can be reused across runs.
-func RunOne(sys System, m Mechanism, w trace.Workload) (*sim.Result, error) {
-	return RunOneContext(context.Background(), sys, m, w)
-}
-
-// RunOneContext is RunOne under a context: cancellation is honoured
-// within a few hundred scrub visits.
-func RunOneContext(ctx context.Context, sys System, m Mechanism, w trace.Workload) (*sim.Result, error) {
-	return RunOneWithOptionsContext(ctx, sys, m, w, Options{})
-}
-
 // Options exposes simulator-only knobs that are not part of a Mechanism:
 // the optional substrates layered under the scrub study, plus run
 // instrumentation.
 type Options = engine.Options
 
-// RunOneWithOptions is RunOne with the optional substrates configured.
-func RunOneWithOptions(sys System, m Mechanism, w trace.Workload, o Options) (*sim.Result, error) {
-	return RunOneWithOptionsContext(context.Background(), sys, m, w, o)
-}
-
-// RunOneWithOptionsContext is RunOneWithOptions under a context.
-func RunOneWithOptionsContext(ctx context.Context, sys System, m Mechanism, w trace.Workload, o Options) (*sim.Result, error) {
+// RunOneWithOptionsContext simulates one mechanism under one workload
+// with the optional substrates configured. Cancellation is honoured
+// within a few hundred scrub visits. Suite-produced policies are
+// stateless, so a Mechanism can be reused across runs.
+func RunOneWithOptionsContext(ctx context.Context, sys System, m Mechanism, w trace.Workload, o Options) (*engine.Result, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
 	return engine.RunContext(ctx, engine.ResolveSpec(sys, m, w, o))
 }
 
-// RunOneWithLeveling is RunOne with Start-Gap wear leveling enabled at
-// the given gap-move period (0 = leveling off).
-func RunOneWithLeveling(sys System, m Mechanism, w trace.Workload, gapPeriod uint64) (*sim.Result, error) {
-	return RunOneWithOptions(sys, m, w, Options{GapMovePeriod: gapPeriod})
-}
-
 // Matrix is a full mechanisms × workloads comparison.
 type Matrix struct {
 	Mechanisms []string
 	Workloads  []string
-	cells      map[string]*sim.Result // key mech + "\x00" + workload
+	cells      map[string]*engine.Result // key mech + "\x00" + workload
 }
 
 func cellKey(mech, workload string) string { return mech + "\x00" + workload }
 
 // Get returns the result for a cell, or nil if absent.
-func (mx *Matrix) Get(mech, workload string) *sim.Result {
+func (mx *Matrix) Get(mech, workload string) *engine.Result {
 	return mx.cells[cellKey(mech, workload)]
 }
 
@@ -257,15 +239,10 @@ func (mx *Matrix) TotalsFor(mech string) Totals {
 	return t
 }
 
-// RunMatrix simulates every mechanism under every workload, fanning cells
-// out over the available CPUs. Each cell gets a distinct deterministic
-// seed derived from the system seed and its coordinates, so the matrix is
-// reproducible regardless of scheduling.
-func RunMatrix(sys System, mechanisms []Mechanism, workloads []trace.Workload) (*Matrix, error) {
-	return RunMatrixContext(context.Background(), sys, mechanisms, workloads)
-}
-
-// RunMatrixContext is RunMatrix under a context: cancellation stops
+// RunMatrixContext simulates every mechanism under every workload,
+// fanning cells out over the available CPUs. Each cell gets a distinct
+// deterministic seed derived from the system seed and its coordinates, so
+// the matrix is reproducible regardless of scheduling. Cancellation stops
 // in-flight cells within a substep and skips unstarted ones.
 func RunMatrixContext(ctx context.Context, sys System, mechanisms []Mechanism, workloads []trace.Workload) (*Matrix, error) {
 	if err := sys.Validate(); err != nil {
@@ -274,7 +251,7 @@ func RunMatrixContext(ctx context.Context, sys System, mechanisms []Mechanism, w
 	if len(mechanisms) == 0 || len(workloads) == 0 {
 		return nil, fmt.Errorf("core: need at least one mechanism and one workload")
 	}
-	mx := &Matrix{cells: make(map[string]*sim.Result)}
+	mx := &Matrix{cells: make(map[string]*engine.Result)}
 	for _, m := range mechanisms {
 		mx.Mechanisms = append(mx.Mechanisms, m.Name)
 	}
@@ -368,7 +345,7 @@ func (mx *Matrix) ComputeHeadline(baseline, proposed string) (Headline, error) {
 
 // PerfOverhead estimates, via the queueing model, the demand slowdown a
 // result's scrub traffic causes under its workload's read/write rates.
-func PerfOverhead(sys System, w trace.Workload, r *sim.Result) (float64, error) {
+func PerfOverhead(sys System, w trace.Workload, r *engine.Result) (float64, error) {
 	m, err := memctrl.NewModel(sys.Timing)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -21,12 +23,33 @@ func TestCombinedMechanismStandsAlone(t *testing.T) {
 	if m.Scheme.Name() != "BCH-8" || m.Policy.Name() != "combined" {
 		t.Errorf("mechanism wrong: %s/%s", m.Scheme.Name(), m.Policy.Name())
 	}
-	res, err := RunOne(sys, m, smallWorkload())
+	res, err := RunOneWithOptionsContext(context.Background(), sys, m, smallWorkload(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sweeps == 0 {
 		t.Error("no sweeps simulated")
+	}
+}
+
+// TestSuiteShortHorizons pins Suite below the 960 s horizon where the
+// adaptive cap (Horizon/4) falls under the default interval floor: Suite
+// must not fail, and its combined entry is CombinedMechanism's.
+func TestSuiteShortHorizons(t *testing.T) {
+	for _, horizon := range []float64{600, 900, 959, 960, 20000} {
+		sys := smallSystem()
+		sys.Horizon = horizon
+		ms, err := Suite(sys)
+		if err != nil {
+			t.Fatalf("horizon %g: Suite: %v", horizon, err)
+		}
+		want, err := CombinedMechanism(sys)
+		if err != nil {
+			t.Fatalf("horizon %g: CombinedMechanism: %v", horizon, err)
+		}
+		if got := ms[len(ms)-1]; !reflect.DeepEqual(got, want) {
+			t.Errorf("horizon %g: Suite combined = %+v, want %+v", horizon, got, want)
+		}
 	}
 }
 
@@ -38,14 +61,14 @@ func TestCombinedMechanismRejectsInvalidSystem(t *testing.T) {
 	}
 }
 
-func TestRunOneWithOptions(t *testing.T) {
+func TestRunOneWithOptionsContext(t *testing.T) {
 	sys := smallSystem()
 	sys.Horizon = 20000
 	m, err := SuiteMechanism(sys, "threshold")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOneWithOptions(sys, m, smallWorkload(), Options{
+	res, err := RunOneWithOptionsContext(context.Background(), sys, m, smallWorkload(), Options{
 		GapMovePeriod: 50,
 		SLCFraction:   0.5,
 	})
@@ -57,22 +80,8 @@ func TestRunOneWithOptions(t *testing.T) {
 	}
 	bad := sys
 	bad.RiskTarget = 0
-	if _, err := RunOneWithOptions(bad, m, smallWorkload(), Options{}); err == nil {
+	if _, err := RunOneWithOptionsContext(context.Background(), bad, m, smallWorkload(), Options{}); err == nil {
 		t.Error("invalid system accepted")
-	}
-}
-
-func TestRunOneWithLevelingDelegates(t *testing.T) {
-	sys := smallSystem()
-	sys.Horizon = 20000
-	m, _ := SuiteMechanism(sys, "threshold")
-	// Short period so the small run's ~100 demand writes trigger moves.
-	res, err := RunOneWithLeveling(sys, m, smallWorkload(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LevelerMoves == 0 {
-		t.Error("leveler not engaged")
 	}
 }
 
@@ -80,8 +89,8 @@ func TestRunMatrixPropagatesCellErrors(t *testing.T) {
 	sys := smallSystem()
 	ms, _ := Suite(sys)
 	broken := ms[0]
-	broken.Interval = 0 // sim.Config validation will reject
-	if _, err := RunMatrix(sys, []Mechanism{broken}, []trace.Workload{smallWorkload()}); err == nil {
+	broken.Interval = 0 // engine.Spec validation will reject
+	if _, err := RunMatrixContext(context.Background(), sys, []Mechanism{broken}, []trace.Workload{smallWorkload()}); err == nil {
 		t.Error("broken mechanism accepted by RunMatrix")
 	}
 }
@@ -90,7 +99,7 @@ func TestRunOneRejectsInvalidSystem(t *testing.T) {
 	sys := smallSystem()
 	sys.Horizon = 0
 	m := Mechanism{}
-	if _, err := RunOne(sys, m, smallWorkload()); err == nil {
+	if _, err := RunOneWithOptionsContext(context.Background(), sys, m, smallWorkload(), Options{}); err == nil {
 		t.Error("invalid system accepted")
 	}
 }
@@ -112,7 +121,7 @@ func TestFixedIntervalForUnreachable(t *testing.T) {
 func TestPerfOverheadRejectsBadTiming(t *testing.T) {
 	sys := smallSystem()
 	m, _ := SuiteMechanism(sys, "basic")
-	res, err := RunOne(sys, m, smallWorkload())
+	res, err := RunOneWithOptionsContext(context.Background(), sys, m, smallWorkload(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -128,7 +129,7 @@ func TestRunOneProducesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOne(sys, m, smallWorkload())
+	res, err := RunOneWithOptionsContext(context.Background(), sys, m, smallWorkload(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunMatrixAndHeadline(t *testing.T) {
 		smallWorkload(),
 		{Name: "idle", WritesPerLinePerSec: 1e-7, ReadsPerLinePerSec: 1e-5, FootprintFrac: 1.0},
 	}
-	mx, err := RunMatrix(sys, pair, workloads)
+	mx, err := RunMatrixContext(context.Background(), sys, pair, workloads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestRunMatrixReproducibleAcrossScheduling(t *testing.T) {
 	}
 	pair := []Mechanism{ms[0], ms[3]}
 	ws := []trace.Workload{smallWorkload()}
-	a, err := RunMatrix(sys, pair, ws)
+	a, err := RunMatrixContext(context.Background(), sys, pair, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMatrix(sys, pair, ws)
+	b, err := RunMatrixContext(context.Background(), sys, pair, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +217,11 @@ func TestRunMatrixReproducibleAcrossScheduling(t *testing.T) {
 
 func TestRunMatrixRejectsEmpty(t *testing.T) {
 	sys := smallSystem()
-	if _, err := RunMatrix(sys, nil, []trace.Workload{smallWorkload()}); err == nil {
+	if _, err := RunMatrixContext(context.Background(), sys, nil, []trace.Workload{smallWorkload()}); err == nil {
 		t.Error("empty mechanisms accepted")
 	}
 	ms, _ := Suite(sys)
-	if _, err := RunMatrix(sys, ms[:1], nil); err == nil {
+	if _, err := RunMatrixContext(context.Background(), sys, ms[:1], nil); err == nil {
 		t.Error("empty workloads accepted")
 	}
 }
@@ -232,7 +233,7 @@ func TestPerfOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := smallWorkload()
-	res, err := RunOne(sys, m, w)
+	res, err := RunOneWithOptionsContext(context.Background(), sys, m, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -62,7 +63,7 @@ func TestEngineMatchesPreRefactorGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range mechs {
-		res, err := RunOne(sys, m, w)
+		res, err := RunOneWithOptionsContext(context.Background(), sys, m, w, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,7 +13,7 @@ import (
 // Demonstrates the library's primary loop: build a system, pick
 // mechanisms from the paper's ladder, run them on a workload, compare.
 // (Outputs are printed as relations, which hold for any seed.)
-func ExampleRunOne() {
+func ExampleRunOneWithOptionsContext() {
 	sys := core.DefaultSystem()
 	// Shrink the region and horizon so the example runs in milliseconds.
 	sys.Geometry = mem.Geometry{
@@ -36,11 +37,11 @@ func ExampleRunOne() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rBasic, err := core.RunOne(sys, basic, workload)
+	rBasic, err := core.RunOneWithOptionsContext(context.Background(), sys, basic, workload, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rCombined, err := core.RunOne(sys, combined, workload)
+	rCombined, err := core.RunOneWithOptionsContext(context.Background(), sys, combined, workload, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -20,8 +19,8 @@ import (
 const retrySeedSalt = 0x51ed270b9b1e6d2f
 
 // maxFailedFraction bounds graceful degradation: when at most this
-// fraction of replicas fail (after their retry), RunReplicated returns
-// the surviving results instead of aborting the campaign.
+// fraction of replicas fail (after their retry), RunReplicatedContext
+// returns the surviving results instead of aborting the campaign.
 const maxFailedFraction = 0.20
 
 // ReplicaFailure records one replica that produced no result.
@@ -51,7 +50,7 @@ type Replicated struct {
 	ScrubEnergy stats.Summary // pJ
 	// Results holds the individual runs in replica order. A nil entry
 	// marks a failed replica, so index-paired comparisons stay aligned.
-	Results []*sim.Result
+	Results []*engine.Result
 	// Requested is the replica count asked for; Completed the number
 	// that produced results.
 	Requested, Completed int
@@ -90,11 +89,11 @@ func replicaSeed(base uint64, idx int) uint64 {
 
 // runReplica executes one simulation. It is a variable so supervision
 // tests can substitute failure modes.
-var runReplica = sim.RunContext
+var runReplica = engine.RunContext
 
 // safeRunReplica calls runReplica with panic containment: a defect in
 // one replica becomes an error instead of killing the whole campaign.
-func safeRunReplica(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
+func safeRunReplica(ctx context.Context, cfg engine.Spec) (res *engine.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("replica panicked: %v", p)
@@ -103,13 +102,9 @@ func safeRunReplica(ctx context.Context, cfg sim.Config) (res *sim.Result, err e
 	return runReplica(ctx, cfg)
 }
 
-// RunReplicated simulates the cell `replicas` times with seeds derived
-// from sys.Seed, fanning out over the available CPUs.
-func RunReplicated(sys System, m Mechanism, w trace.Workload, replicas int) (*Replicated, error) {
-	return RunReplicatedContext(context.Background(), sys, m, w, replicas)
-}
-
-// RunReplicatedContext is RunReplicated under resilient supervision:
+// RunReplicatedContext simulates the cell `replicas` times with seeds
+// derived from sys.Seed, fanning out over the available CPUs, under
+// resilient supervision:
 //
 //   - Cancellation: ctx is checked inside every replica per substep;
 //     cancelling returns promptly with an error wrapping ctx.Err().
@@ -149,7 +144,7 @@ type Shard struct {
 	First, Count int
 	// Results holds the shard's runs in replica order (index i is
 	// absolute replica First+i). A nil entry marks a failed replica.
-	Results []*sim.Result
+	Results []*engine.Result
 	// Retried counts replicas that failed once and succeeded on their
 	// reseeded retry.
 	Retried int
@@ -177,7 +172,7 @@ func RunShardContext(ctx context.Context, sys System, m Mechanism, w trace.Workl
 	shard := &Shard{
 		First:   first,
 		Count:   count,
-		Results: make([]*sim.Result, count),
+		Results: make([]*engine.Result, count),
 	}
 	allowedFailures := int(math.Floor(maxFailedFraction * float64(count)))
 
@@ -278,7 +273,7 @@ func MergeReplicated(mechanism, workload string, requested int, shards []*Shard)
 	rep := &Replicated{
 		Mechanism: mechanism,
 		Workload:  workload,
-		Results:   make([]*sim.Result, requested),
+		Results:   make([]*engine.Result, requested),
 		Requested: requested,
 	}
 	covered := make([]bool, requested)

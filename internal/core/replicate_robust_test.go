@@ -12,12 +12,11 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 )
 
 // withReplicaRunner substitutes the replica runner for the duration of a
 // test, restoring the real one afterwards.
-func withReplicaRunner(t *testing.T, fn func(ctx context.Context, cfg sim.Config) (*sim.Result, error)) {
+func withReplicaRunner(t *testing.T, fn func(ctx context.Context, cfg engine.Spec) (*engine.Result, error)) {
 	t.Helper()
 	orig := runReplica
 	runReplica = fn
@@ -25,8 +24,8 @@ func withReplicaRunner(t *testing.T, fn func(ctx context.Context, cfg sim.Config
 }
 
 // fakeResult builds a minimal successful result for supervision tests.
-func fakeResult(seed uint64) *sim.Result {
-	return &sim.Result{UEs: int64(seed % 7), ScrubWriteBacks: 100 + int64(seed%13)}
+func fakeResult(seed uint64) *engine.Result {
+	return &engine.Result{UEs: int64(seed % 7), ScrubWriteBacks: 100 + int64(seed%13)}
 }
 
 // seedIndex recovers the replica index (and whether this is the retry
@@ -47,7 +46,7 @@ func TestRunReplicatedPanicIsRetriedOnce(t *testing.T) {
 	sys := smallSystem()
 	var mu sync.Mutex
 	attempts := map[int]int{}
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		idx, retry := seedIndex(sys.Seed, cfg.Seed)
 		mu.Lock()
 		attempts[idx]++
@@ -58,7 +57,7 @@ func TestRunReplicatedPanicIsRetriedOnce(t *testing.T) {
 		return fakeResult(cfg.Seed), nil
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	rep, err := RunReplicated(sys, m, smallWorkload(), 6)
+	rep, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +77,14 @@ func TestRunReplicatedPanicIsRetriedOnce(t *testing.T) {
 
 func TestRunReplicatedPartialResults(t *testing.T) {
 	sys := smallSystem()
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		if idx, _ := seedIndex(sys.Seed, cfg.Seed); idx == 4 {
 			return nil, errors.New("persistent synthetic failure")
 		}
 		return fakeResult(cfg.Seed), nil
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	rep, err := RunReplicated(sys, m, smallWorkload(), 10) // budget: 2 failures
+	rep, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 10) // budget: 2 failures
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +111,14 @@ func TestRunReplicatedPartialResults(t *testing.T) {
 
 func TestRunReplicatedFailureBudgetExceeded(t *testing.T) {
 	sys := smallSystem()
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		if idx, _ := seedIndex(sys.Seed, cfg.Seed); idx < 3 {
 			return nil, errors.New("persistent synthetic failure")
 		}
 		return fakeResult(cfg.Seed), nil
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	_, err := RunReplicated(sys, m, smallWorkload(), 10) // 3 failures > budget 2
+	_, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), 10) // 3 failures > budget 2
 	if err == nil {
 		t.Fatal("campaign with 30% failures should error")
 	}
@@ -133,14 +132,14 @@ func TestRunReplicatedStopsLaunchingAfterAbort(t *testing.T) {
 	replicas := 8*runtime.GOMAXPROCS(0) + 16
 	var mu sync.Mutex
 	calls := 0
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
 		return nil, errors.New("every replica fails")
 	})
 	m, _ := SuiteMechanism(sys, "basic")
-	if _, err := RunReplicated(sys, m, smallWorkload(), replicas); err == nil {
+	if _, err := RunReplicatedContext(context.Background(), sys, m, smallWorkload(), replicas); err == nil {
 		t.Fatal("all-failing campaign should error")
 	}
 	mu.Lock()
@@ -203,18 +202,18 @@ func (p panicPolicy) NextInterval(cur float64, rs scrub.RoundStats) float64 {
 }
 
 func TestCompareReplicatedReportsSkippedPairs(t *testing.T) {
-	mk := func(ues, writes int64, energy float64) *sim.Result {
-		r := &sim.Result{UEs: ues, ScrubWriteBacks: writes}
+	mk := func(ues, writes int64, energy float64) *engine.Result {
+		r := &engine.Result{UEs: ues, ScrubWriteBacks: writes}
 		r.ScrubEnergy.WritePJ = energy
 		return r
 	}
-	baseline := &Replicated{Results: []*sim.Result{
+	baseline := &Replicated{Results: []*engine.Result{
 		mk(10, 100, 50), // clean pair
 		nil,             // failed baseline replica
 		mk(0, 100, 50),  // zero-UE baseline: UE pair unusable
 		mk(10, 100, 0),  // zero-energy baseline: energy pair unusable
 	}}
-	proposed := &Replicated{Results: []*sim.Result{
+	proposed := &Replicated{Results: []*engine.Result{
 		mk(5, 50, 25),
 		mk(5, 50, 25),
 		mk(5, 50, 25),
@@ -237,7 +236,7 @@ func TestCompareReplicatedReportsSkippedPairs(t *testing.T) {
 }
 
 func TestCompareReplicatedAllPairsDead(t *testing.T) {
-	dead := &Replicated{Results: []*sim.Result{nil, nil}}
+	dead := &Replicated{Results: []*engine.Result{nil, nil}}
 	if _, err := CompareReplicated(dead, dead); err == nil {
 		t.Error("comparison with no surviving pairs should error")
 	}

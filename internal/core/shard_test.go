@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/engine"
 )
 
 // TestShardedMergeMatchesSingleNode pins the cluster determinism
@@ -56,7 +56,7 @@ func TestRunShardContextUsesAbsoluteSeeds(t *testing.T) {
 	sys := smallSystem()
 	var mu sync.Mutex
 	var seeds []uint64
-	withReplicaRunner(t, func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+	withReplicaRunner(t, func(ctx context.Context, cfg engine.Spec) (*engine.Result, error) {
 		mu.Lock()
 		seeds = append(seeds, cfg.Seed)
 		mu.Unlock()
@@ -89,12 +89,12 @@ func TestRunShardContextRejectsBadRange(t *testing.T) {
 	}
 }
 
-func mergeShard(first int, results ...*sim.Result) *Shard {
+func mergeShard(first int, results ...*engine.Result) *Shard {
 	return &Shard{First: first, Count: len(results), Results: results}
 }
 
 func TestMergeReplicatedValidation(t *testing.T) {
-	r := func() *sim.Result { return &sim.Result{UEs: 1, ScrubWriteBacks: 2} }
+	r := func() *engine.Result { return &engine.Result{UEs: 1, ScrubWriteBacks: 2} }
 	cases := map[string][]*Shard{
 		"nil shard":      {nil},
 		"gap":            {mergeShard(0, r()), mergeShard(2, r())},
@@ -121,7 +121,7 @@ func TestMergeReplicatedValidation(t *testing.T) {
 // their local budgets can still jointly blow the campaign budget when
 // merged with extra failures recorded directly.
 func TestMergeReplicatedGlobalBudget(t *testing.T) {
-	r := func() *sim.Result { return &sim.Result{UEs: 1, ScrubWriteBacks: 2} }
+	r := func() *engine.Result { return &engine.Result{UEs: 1, ScrubWriteBacks: 2} }
 	// 4 replicas → budget 0; one failed replica must abort the merge.
 	sh := mergeShard(0, r(), nil, r(), r())
 	sh.Failures = []ReplicaFailure{{Index: 1, Err: errors.New("synthetic loss")}}

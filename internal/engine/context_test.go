@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"context"
@@ -10,7 +10,7 @@ import (
 func TestRunContextCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, testConfig())
+	res, err := RunContext(ctx, testSpec())
 	if res != nil {
 		t.Error("canceled run returned a result")
 	}
@@ -23,7 +23,7 @@ func TestRunContextCanceledBeforeStart(t *testing.T) {
 // and requires a prompt, wrapped return: the run must stop at the next
 // substep, not grind to the horizon.
 func TestRunContextCancelMidRun(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Horizon = cfg.ScrubInterval * 1e6 // far more sweeps than we'll allow
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -44,7 +44,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 func TestRunContextDeadline(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Horizon = cfg.ScrubInterval * 1e6
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -57,15 +57,17 @@ func TestRunContextDeadline(t *testing.T) {
 // TestRunContextCompletesNormally: an un-cancelled context changes
 // nothing about the run's outcome.
 func TestRunContextCompletesNormally(t *testing.T) {
-	plain, err := Run(testConfig())
+	plain, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := RunContext(context.Background(), testConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	viaCtx, err := RunContext(ctx, testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fingerprint(plain) != fingerprint(viaCtx) {
-		t.Error("RunContext(Background) differs from Run")
+		t.Error("RunContext under a live cancellable context differs from Background")
 	}
 }

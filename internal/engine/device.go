@@ -76,14 +76,14 @@ type ChunkReport struct {
 // NewDevice validates the spec and initialises a persistent device at
 // simulated time zero. The spec's Horizon and ScrubInterval are not used
 // for stepping (the caller owns time); they only need to satisfy spec
-// validation. Pooling is disabled: the state lives as long as the device.
+// validation. The device's state comes fresh from statePool.New and is
+// never returned to the pool: it lives as long as the device.
 func NewDevice(spec Spec) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{DisablePooling: true}
-	s, err := r.newState(spec)
-	if err != nil {
+	s := statePool.New().(*state)
+	if err := s.init(spec); err != nil {
 		return nil, err
 	}
 	return &Device{s: s}, nil

@@ -1,13 +1,14 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/scrub"
 )
 
 func TestECPValidation(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.ECPEntries = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative ECP entries accepted")
@@ -18,7 +19,7 @@ func TestECPAbsorbsStuckCells(t *testing.T) {
 	// Heavily aged device: ~4-5 dead cells per line. Without ECP the
 	// stuck bits eat most of the BCH-8 budget and drift finishes the job;
 	// with ECP-8 the stuck cells vanish from the ECC's view.
-	base := testConfig()
+	base := testSpec()
 	base.InitialLineWrites = 30_000_000
 	base.ScrubInterval = 20000
 	base.Horizon = 100000
@@ -28,7 +29,7 @@ func TestECPAbsorbsStuckCells(t *testing.T) {
 	run := func(entries int) *Result {
 		cfg := base
 		cfg.ECPEntries = entries
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,10 +71,10 @@ func TestECPAbsorbsStuckCells(t *testing.T) {
 }
 
 func TestECPPartialCoverage(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	base.InitialLineWrites = 30_000_000
 	base.ECPEntries = 2
-	res, err := Run(base)
+	res, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Package engine owns the canonical simulation run pipeline: every
-// execution path in the repository — the sim package's Run, the core
-// runners, the scrubd worker pool, and cluster shard execution — funnels
-// into the engine's single per-line scrub/detect/correct/write-back loop.
+// execution path in the repository — the core runners, the scrubd worker
+// pool, cluster shard execution and the fleet's long-lived devices —
+// funnels into the engine's single per-line scrub/detect/correct/write-back
+// loop. RunContext runs a Spec to its horizon; NewDevice holds the same
+// state open for caller-driven stepping.
 //
 // The engine takes a resolved Spec (one struct subsuming the system
 // description, the mechanism under test, and the optional substrates) and
@@ -20,57 +22,29 @@
 //
 // All of this is behaviour-preserving: a run's Result is byte-identical
 // to the pre-engine sim loop for the same Spec, which the golden
-// fingerprint tests in internal/sim and internal/core pin.
+// fingerprint tests in this package and internal/core pin.
 package engine
 
 import "context"
-
-// Runner executes resolved specs. The zero value is ready to use and is
-// what the package-level Run/RunContext use; DisablePooling exists so
-// equivalence tests and benchmarks can reproduce the pre-engine
-// allocation behaviour.
-type Runner struct {
-	// DisablePooling makes every run allocate fresh scratch and build a
-	// private drift sampler instead of drawing on the shared pools — the
-	// pre-refactor behaviour. Results are identical either way; only
-	// allocation counts differ.
-	DisablePooling bool
-}
-
-// Run executes the spec to completion.
-func (r *Runner) Run(spec Spec) (*Result, error) {
-	return r.RunContext(context.Background(), spec)
-}
 
 // RunContext executes the spec under a context. Cancellation is polled
 // every visitStride scrub visits and at every substep boundary, so a
 // cancelled run returns promptly with an error wrapping ctx.Err(). No
 // partial result is returned.
-func (r *Runner) RunContext(ctx context.Context, spec Spec) (*Result, error) {
+func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := r.newState(spec)
-	if err != nil {
+	s := statePool.Get().(*state)
+	if err := s.init(spec); err != nil {
 		return nil, err
 	}
 	runErr := s.run(ctx)
 	res := s.res
-	s.release(r)
+	s.release()
 	recordRun(&res, runErr)
 	if runErr != nil {
 		return nil, runErr
 	}
 	return &res, nil
-}
-
-// defaultRunner backs the package-level entry points.
-var defaultRunner Runner
-
-// Run executes the spec on the shared pooled runner.
-func Run(spec Spec) (*Result, error) { return defaultRunner.Run(spec) }
-
-// RunContext is Run under a context.
-func RunContext(ctx context.Context, spec Spec) (*Result, error) {
-	return defaultRunner.RunContext(ctx, spec)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,8 +27,8 @@ func testWorkload() trace.Workload {
 	}
 }
 
-// testSpec mirrors the sim package's historical test configuration:
-// 256 lines under BCH-4 with the basic full-decode patrol.
+// testSpec returns a small, fast run: 256 lines under BCH-4 with the
+// basic full-decode patrol. Tests override its knobs individually.
 func testSpec() Spec {
 	return Spec{
 		Geometry: mem.Geometry{
@@ -90,27 +91,60 @@ func specVariants() map[string]Spec {
 	return variants
 }
 
-// TestPooledMatchesUnpooled pins the tentpole invariant: pooled scratch,
-// the shared sampler cache, and batched RNG draws change allocation
-// behaviour only — every result field is identical to a fresh-allocation
-// run. Each variant runs twice per mode so pool reuse (second iteration
-// hits recycled state) is exercised, not just pool cold start.
-func TestPooledMatchesUnpooled(t *testing.T) {
-	pooled := &Runner{}
-	unpooled := &Runner{DisablePooling: true}
-	for name, spec := range specVariants() {
-		for round := 0; round < 2; round++ {
-			want, err := unpooled.Run(spec)
-			if err != nil {
-				t.Fatalf("%s: unpooled: %v", name, err)
+// runCold runs spec on a state fresh from statePool.New with a drift
+// sampler built privately rather than taken from the shared cache, so
+// neither scratch nor a sampler from an earlier run can reach it.
+func runCold(t *testing.T, spec Spec) *Result {
+	t.Helper()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := statePool.New().(*state)
+	if err := s.init(spec); err != nil {
+		t.Fatal(err)
+	}
+	model, err := pcm.NewModel(spec.PCM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.sampler, err = pcm.NewLineSampler(model, spec.Mix, pcm.CellsPerLine, s.k); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return &s.res
+}
+
+// TestRecycledStateMatchesCold pins the pooling invariant: recycled
+// scratch, the shared sampler cache, and batched RNG draws change
+// allocation behaviour only. Every variant's result on a cold state with
+// a privately built sampler is identical to a pooled run, on the cached
+// sampler, made after every other variant has dirtied the pool with
+// differently sized and filled scratch.
+func TestRecycledStateMatchesCold(t *testing.T) {
+	variants := specVariants()
+	names := make([]string, 0, len(variants))
+	for name := range variants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want := runCold(t, variants[name])
+		for _, other := range names {
+			if other == name {
+				continue
 			}
-			got, err := pooled.Run(spec)
-			if err != nil {
-				t.Fatalf("%s: pooled: %v", name, err)
+			if _, err := RunContext(context.Background(), variants[other]); err != nil {
+				t.Fatalf("%s: %v", other, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s round %d: pooled result differs from unpooled:\n got  %+v\n want %+v", name, round, got, want)
-			}
+		}
+		got, err := RunContext(context.Background(), variants[name])
+		if err != nil {
+			t.Fatalf("%s: recycled: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recycled-state result differs from cold:\n got  %+v\n want %+v", name, got, want)
 		}
 	}
 }
@@ -120,7 +154,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 // identical results, plus sane span and callback contents.
 func TestHooksDoNotChangeResults(t *testing.T) {
 	spec := testSpec()
-	plain, err := Run(spec)
+	plain, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +181,7 @@ func TestHooksDoNotChangeResults(t *testing.T) {
 		},
 		Spans: rec,
 	}
-	instrumented, err := Run(spec)
+	instrumented, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +223,13 @@ func TestKernelStageLightDetect(t *testing.T) {
 	spec := testSpec()
 	spec.Scheme = ecc.MustBCHLine(8)
 	spec.Policy = scrub.LightBasic()
-	plain, err := Run(spec)
+	plain, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &SpanRecorder{}
 	spec.Hooks = &Hooks{Spans: rec}
-	instrumented, err := Run(spec)
+	instrumented, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +256,7 @@ func TestKernelStageLightDetect(t *testing.T) {
 // process-wide totals scrubd surfaces on /metrics.
 func TestStatsAccumulate(t *testing.T) {
 	before := Stats()
-	res, err := Run(testSpec())
+	res, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,28 +339,14 @@ func TestCanceledRunCountsInStats(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRun measures the pooled engine hot path; compare against
-// BenchmarkLegacySimRun for the allocation reduction the refactor claims
-// (make bench records the pair in BENCH_engine.json).
+// BenchmarkEngineRun measures the pooled engine hot path. make bench
+// records it in BENCH_engine.json, and bench-gate holds it to an
+// absolute allocation and byte budget.
 func BenchmarkEngineRun(b *testing.B) {
 	spec := testSpec()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLegacySimRun reproduces the pre-refactor allocation behaviour
-// (fresh scratch and a private drift sampler per run) on the identical
-// workload, as the baseline for the pooled path.
-func BenchmarkLegacySimRun(b *testing.B) {
-	spec := testSpec()
-	r := &Runner{DisablePooling: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(spec); err != nil {
+		if _, err := RunContext(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ecc"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestSLCFractionValidation(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.SLCFraction = -0.1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative SLC fraction accepted")
@@ -20,7 +21,7 @@ func TestSLCFractionValidation(t *testing.T) {
 }
 
 func TestSLCFractionSuppressesDriftErrors(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	base.Scheme = ecc.NewSECDEDLine()
 	base.ScrubInterval = 40000
 	base.Horizon = 200000
@@ -28,7 +29,7 @@ func TestSLCFractionSuppressesDriftErrors(t *testing.T) {
 	run := func(f float64) *Result {
 		cfg := base
 		cfg.SLCFraction = f
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,14 +58,14 @@ func TestSLCFractionSuppressesDriftErrors(t *testing.T) {
 }
 
 func TestUEDetectionAttribution(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Scheme = ecc.NewSECDEDLine()
 	cfg.Policy = scrub.Basic()
 	cfg.ScrubInterval = 40000
 	cfg.Horizon = 200000
 	cfg.Workload.WritesPerLinePerSec = 0
 	cfg.Workload.ReadsPerLinePerSec = 0.01 // reads every ~100 s per line
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestUEDetectionAttribution(t *testing.T) {
 	}
 	// With no reads at all, none can be read-first.
 	cfg.Workload.ReadsPerLinePerSec = 0
-	quiet, err := Run(cfg)
+	quiet, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

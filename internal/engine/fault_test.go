@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/fault"
@@ -32,13 +33,13 @@ func fingerprint(r *Result) resultFingerprint {
 // TestZeroFaultPlanIsIdentity pins the tentpole's core guarantee: a nil
 // plan and an all-zero plan produce byte-identical results.
 func TestZeroFaultPlanIsIdentity(t *testing.T) {
-	base, err := Run(testConfig())
+	base, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Fault = &fault.Plan{} // all-zero: must be indistinguishable from nil
-	zero, err := Run(cfg)
+	zero, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +56,10 @@ func TestZeroFaultPlanIsIdentity(t *testing.T) {
 // light-detect path, whose probe short-circuit is the riskiest site.
 func TestZeroFaultPlanIdentityLightDetect(t *testing.T) {
 	mk := func(p *fault.Plan) *Result {
-		cfg := testConfig()
+		cfg := testSpec()
 		cfg.Policy = scrub.LightBasic()
 		cfg.Fault = p
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,12 +72,12 @@ func TestZeroFaultPlanIdentityLightDetect(t *testing.T) {
 
 func TestFaultRunDeterminism(t *testing.T) {
 	mk := func() resultFingerprint {
-		cfg := testConfig()
+		cfg := testSpec()
 		cfg.Fault = &fault.Plan{
 			ReadFlipRate: 0.05, SweepSkipRate: 0.2, ProbeMissRate: 0.1,
 			StuckCheckRate: 0.05, StallRate: 0.2,
 		}
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +89,12 @@ func TestFaultRunDeterminism(t *testing.T) {
 }
 
 func TestInvalidFaultPlanRejected(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Fault = &fault.Plan{ReadFlipRate: 2}
 	if err := cfg.Validate(); err == nil {
 		t.Error("Validate accepted rate > 1")
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Error("Run accepted rate > 1")
 	}
 }
@@ -104,9 +105,9 @@ func TestInvalidFaultPlanRejected(t *testing.T) {
 // actually defeat BCH-4.
 func TestReadFlipFaultsMonotoneUEs(t *testing.T) {
 	ues := func(rate float64) (int64, fault.Counts) {
-		cfg := testConfig()
+		cfg := testSpec()
 		cfg.Fault = &fault.Plan{ReadFlipRate: rate, ReadFlipMaxBits: 12}
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +133,13 @@ func TestReadFlipFaultsMonotoneUEs(t *testing.T) {
 // TestSweepSkipFaultsReduceVisits: interrupted sweeps must visit fewer
 // lines, and the skip counters must account for the difference.
 func TestSweepSkipFaultsReduceVisits(t *testing.T) {
-	base, err := Run(testConfig())
+	base, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Fault = &fault.Plan{SweepSkipRate: 0.5}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +159,10 @@ func TestSweepSkipFaultsReduceVisits(t *testing.T) {
 // light-detect path must reduce decodes below the fault-free run.
 func TestProbeMissFaultsSuppressDecodes(t *testing.T) {
 	mk := func(rate float64) *Result {
-		cfg := testConfig()
+		cfg := testSpec()
 		cfg.Policy = scrub.LightBasic()
 		cfg.Fault = &fault.Plan{ProbeMissRate: rate}
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,11 +181,11 @@ func TestProbeMissFaultsSuppressDecodes(t *testing.T) {
 // lines and raise UEs relative to the fault-free run.
 func TestStuckCheckFaultsErodeMargin(t *testing.T) {
 	mk := func(rate float64) *Result {
-		cfg := testConfig()
+		cfg := testSpec()
 		// 6 stuck bits exceed BCH-4's budget on their own, so every
 		// decode of a stuck line fails — the aggressive end of the model.
 		cfg.Fault = &fault.Plan{StuckCheckRate: rate, StuckCheckBits: 6}
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,13 +206,13 @@ func TestStuckCheckFaultsErodeMargin(t *testing.T) {
 // TestStallFaultsStretchRuntime: controller stalls stretch sweep spans,
 // so the simulated clock must run past the fault-free end time.
 func TestStallFaultsStretchRuntime(t *testing.T) {
-	base, err := Run(testConfig())
+	base, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Fault = &fault.Plan{StallRate: 0.5, StallFactor: 3}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

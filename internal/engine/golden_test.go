@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 // the constants (run with -run TestGoldenDeterminism -v and copy the
 // failure output).
 func TestGoldenDeterminism(t *testing.T) {
-	res, err := Run(testConfig())
+	res, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

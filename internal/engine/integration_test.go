@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ecc"
@@ -16,14 +17,14 @@ import (
 // of corrected bits per visit must equal the analytic expected line error
 // count at age T.
 func TestCorrectedBitsMatchAnalyticExpectation(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Policy = scrub.AlwaysWrite()
 	cfg.Scheme = ecc.MustBCHLine(8)
 	cfg.TrackK = 16
 	cfg.ScrubInterval = 10000
 	cfg.Horizon = 110000 // 11 sweeps
 	cfg.Workload.WritesPerLinePerSec = 0
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestCorrectedBitsMatchAnalyticExpectation(t *testing.T) {
 // a line is rewritten whenever it shows any error, so at each visit it is
 // one interval old, and P(UE) ≈ Σ_k P(k errors)·P(uncorrectable | k).
 func TestUERateMatchesAnalyticTail(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Scheme = ecc.NewSECDEDLine()
 	cfg.Policy = scrub.Basic()
 	cfg.ScrubInterval = 30000
 	cfg.Horizon = 330000 // 11 sweeps
 	cfg.Workload.WritesPerLinePerSec = 0
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

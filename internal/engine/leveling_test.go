@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/scrub"
@@ -8,8 +9,8 @@ import (
 
 // hotConfig returns a config with an extremely skewed write stream so a
 // few physical slots take most of the wear when leveling is off.
-func hotConfig() Config {
-	cfg := testConfig()
+func hotConfig() Spec {
+	cfg := testSpec()
 	cfg.Workload.WritesPerLinePerSec = 0.02
 	cfg.Workload.FootprintFrac = 0.05 // 12 hot lines out of 256
 	cfg.Workload.ZipfSkew = 1.2
@@ -19,13 +20,13 @@ func hotConfig() Config {
 }
 
 func TestLevelingSpreadsWear(t *testing.T) {
-	noLev, err := Run(hotConfig())
+	noLev, err := RunContext(context.Background(), hotConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := hotConfig()
 	cfg.GapMovePeriod = 20
-	lev, err := Run(cfg)
+	lev, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestLevelingSpreadsWear(t *testing.T) {
 func TestLevelingMoveAccounting(t *testing.T) {
 	cfg := hotConfig()
 	cfg.GapMovePeriod = 50
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +65,9 @@ func TestLevelingMoveAccounting(t *testing.T) {
 }
 
 func TestLevelingVisitsSkipGap(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.GapMovePeriod = 100
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +82,17 @@ func TestLevelingVisitsSkipGap(t *testing.T) {
 func TestLevelingPreservesReliabilityBehaviour(t *testing.T) {
 	// Leveling redistributes wear; it must not change the drift story:
 	// the combined-style policy still sees roughly the same UE counts.
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.ScrubInterval = 40000
 	cfg.Horizon = 200000
 	cfg.Workload.WritesPerLinePerSec = 0
 	cfg.Policy = scrub.Threshold(4)
-	base, err := Run(cfg)
+	base, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.GapMovePeriod = 100
-	lev, err := Run(cfg)
+	lev, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ecc"
@@ -10,14 +11,14 @@ import (
 // consequences, checked end to end.
 
 func TestVisitsScaleExactlyWithGeometry(t *testing.T) {
-	small := testConfig()
-	big := testConfig()
+	small := testSpec()
+	big := testSpec()
 	big.Geometry.RowsPerBank *= 2 // double the lines
-	rSmall, err := Run(small)
+	rSmall, err := RunContext(context.Background(), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rBig, err := Run(big)
+	rBig, err := RunContext(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +34,14 @@ func TestVisitsScaleExactlyWithGeometry(t *testing.T) {
 }
 
 func TestShorterIntervalReducesUEs(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	base.Scheme = ecc.NewSECDEDLine()
 	base.Horizon = 240000
 	base.Workload.WritesPerLinePerSec = 0
 	run := func(interval float64) int64 {
 		cfg := base
 		cfg.ScrubInterval = interval
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,15 +58,15 @@ func TestShorterIntervalReducesUEs(t *testing.T) {
 }
 
 func TestLongerHorizonScalesActivity(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	short := base
 	long := base
 	long.Horizon = base.Horizon * 3
-	rShort, err := Run(short)
+	rShort, err := RunContext(context.Background(), short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rLong, err := Run(long)
+	rLong, err := RunContext(context.Background(), long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +88,14 @@ func TestLongerHorizonScalesActivity(t *testing.T) {
 }
 
 func TestStrongerECCNeverHurts(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	base.ScrubInterval = 30000
 	base.Horizon = 150000
 	base.Workload.WritesPerLinePerSec = 0
 	run := func(s ecc.Scheme) int64 {
 		cfg := base
 		cfg.Scheme = s
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,11 +37,10 @@ func jsonFingerprint(t *testing.T, v any) string {
 // TestOnDieDisabledByteIdentical pins the subsystem's zero-config
 // contract: a nil OnDie config and an all-zero OnDie config both produce
 // results byte-identical (full JSON encoding, every field) to a spec
-// that has never heard of on-die ECC — on the pooled and unpooled paths,
-// and across pool reuse.
+// that has never heard of on-die ECC, across pool reuse.
 func TestOnDieDisabledByteIdentical(t *testing.T) {
 	for name, base := range specVariants() {
-		baseline, err := (&Runner{DisablePooling: true}).Run(base)
+		baseline, err := RunContext(context.Background(), base)
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", name, err)
 		}
@@ -51,16 +51,14 @@ func TestOnDieDisabledByteIdentical(t *testing.T) {
 		}{{"nil", nil}, {"zero", &ondie.Config{}}} {
 			spec := base
 			spec.OnDie = mode.cfg
-			for _, r := range []*Runner{{}, {DisablePooling: true}} {
-				for round := 0; round < 2; round++ {
-					res, err := r.Run(spec)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", name, mode.label, err)
-					}
-					if got := jsonFingerprint(t, res); got != want {
-						t.Errorf("%s/%s (pooling=%v, round %d): disabled on-die ECC drifted the result:\n got  %s\n want %s",
-							name, mode.label, !r.DisablePooling, round, got, want)
-					}
+			for round := 0; round < 2; round++ {
+				res, err := RunContext(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, mode.label, err)
+				}
+				if got := jsonFingerprint(t, res); got != want {
+					t.Errorf("%s/%s (round %d): disabled on-die ECC drifted the result:\n got  %s\n want %s",
+						name, mode.label, round, got, want)
 				}
 			}
 		}
@@ -73,14 +71,14 @@ func TestOnDieDisabledByteIdentical(t *testing.T) {
 // corrected bits drop) and the whole trajectory stays deterministic.
 func TestOnDieHiddenErrorRegime(t *testing.T) {
 	base := agedSpec()
-	plain, err := Run(base)
+	plain, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spec := base
 	spec.OnDie = &ondie.Config{T: 2}
-	hidden, err := Run(spec)
+	hidden, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +93,7 @@ func TestOnDieHiddenErrorRegime(t *testing.T) {
 		t.Errorf("on-die layer changed visit count: %d != %d", hidden.ScrubVisits, plain.ScrubVisits)
 	}
 
-	again, err := Run(spec)
+	again, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestOnDieHiddenErrorRegime(t *testing.T) {
 func TestOnDieWeakAssignment(t *testing.T) {
 	spec := agedSpec()
 	spec.OnDie = &ondie.Config{T: 4, WeakT: 1, WeakFraction: 0.25}
-	res, err := Run(spec)
+	res, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +131,14 @@ func TestOnDieWeakAssignment(t *testing.T) {
 func TestProfiledPolicyBiasesPatrol(t *testing.T) {
 	base := agedSpec()
 	base.OnDie = &ondie.Config{T: 1}
-	plain, err := Run(base)
+	plain, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spec := base
 	spec.Policy = scrub.ProfiledThreshold(1)
-	prof, err := Run(spec)
+	prof, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +169,14 @@ func TestOnDieSpanInstrumentation(t *testing.T) {
 	spec := agedSpec()
 	spec.OnDie = &ondie.Config{T: 1}
 	spec.Policy = scrub.ProfiledThreshold(1)
-	plain, err := Run(spec)
+	plain, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rec := &SpanRecorder{}
 	spec.Hooks = &Hooks{Spans: rec}
-	instrumented, err := Run(spec)
+	instrumented, err := RunContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

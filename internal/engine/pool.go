@@ -10,8 +10,9 @@ import (
 
 // statePool recycles run state between runs. Everything a run touches —
 // the line-state slices, patrol order, scratch buffers, and both RNGs —
-// is retained; newState re-sizes and re-initialises every entry before
-// use, so no value ever leaks from one run into the next.
+// is retained; init re-sizes and re-initialises every entry before use,
+// so no value ever leaks from one run into the next. NewDevice takes a
+// state from statePool.New and never returns it.
 var statePool = sync.Pool{
 	New: func() any {
 		return &state{rng: new(stats.RNG), genRNG: new(stats.RNG)}
@@ -23,10 +24,7 @@ var statePool = sync.Pool{
 // pool never pins caller objects, and dropping the result (its Rounds
 // slice now belongs to the caller). Sized scratch slices are kept — they
 // are the point of pooling.
-func (s *state) release(r *Runner) {
-	if r.DisablePooling {
-		return
-	}
+func (s *state) release() {
 	s.spec = Spec{}
 	s.sampler = nil
 	s.wearM = nil
@@ -48,7 +46,7 @@ func (s *state) release(r *Runner) {
 
 // growF64 returns buf resized to n, reallocating only when capacity is
 // insufficient. Contents are unspecified: callers fully initialise every
-// entry (newState writes all slots before the first read).
+// entry (init writes all slots before the first read).
 func growF64(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)

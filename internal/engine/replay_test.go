@@ -1,6 +1,7 @@
-package sim
+package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/stats"
@@ -10,7 +11,7 @@ import (
 // TestReplayedTraceDrivesSimulator runs the simulator from a recorded
 // event stream and checks that exactly the recorded writes are applied.
 func TestReplayedTraceDrivesSimulator(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	lines := cfg.Geometry.TotalLines()
 
 	// Record a synthetic trace over the simulation horizon.
@@ -37,7 +38,7 @@ func TestReplayedTraceDrivesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Source = replayer
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestReplayedTraceDrivesSimulator(t *testing.T) {
 	}
 
 	// Replays are deterministic even across runs (the source is fixed).
-	res2, err := Run(cfg)
+	res2, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +60,9 @@ func TestReplayedTraceDrivesSimulator(t *testing.T) {
 // against a live-generator run of the same workload: scrub-side metrics
 // must land in the same statistical regime.
 func TestReplayMatchesGeneratorStatistically(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Workload.WritesPerLinePerSec = 1e-4
-	live, err := Run(cfg)
+	live, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestReplayMatchesGeneratorStatistically(t *testing.T) {
 	}
 	replCfg := cfg
 	replCfg.Source = replayer
-	repl, err := Run(replCfg)
+	repl, err := RunContext(context.Background(), replCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ const visitStride = 256
 type secdedLike interface{ Words() int }
 
 // state is the mutable simulation state. Instances are recycled through
-// statePool (see pool.go) unless the Runner disables pooling.
+// statePool (see pool.go).
 type state struct {
 	spec    Spec
 	rng     *stats.RNG
@@ -104,10 +104,9 @@ type state struct {
 	weakBuf  []float64
 }
 
-// newState prepares a run's state, drawing scratch and the drift sampler
-// from the shared pools unless the runner disables pooling. RNG
-// consumption is identical on both paths.
-func (r *Runner) newState(spec Spec) (*state, error) {
+// init prepares s for a run of spec, re-sizing its recycled scratch and
+// drawing the drift sampler from the shared cache.
+func (s *state) init(spec Spec) error {
 	if spec.Substeps == 0 {
 		spec.Substeps = 16
 	}
@@ -121,52 +120,31 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 			k = 16
 		}
 	}
-	var s *state
-	if r.DisablePooling {
-		s = &state{rng: stats.NewRNG(spec.Seed)}
-	} else {
-		s = statePool.Get().(*state)
-		s.rng.Seed(spec.Seed)
-	}
-	var sampler *pcm.LineSampler
-	var err error
-	if r.DisablePooling {
-		var model *pcm.Model
-		model, err = pcm.NewModel(spec.PCM)
-		if err == nil {
-			sampler, err = pcm.NewLineSampler(model, spec.Mix, pcm.CellsPerLine, k)
-		}
-	} else {
-		sampler, err = cachedSampler(spec.PCM, spec.Mix, k)
-	}
+	s.rng.Seed(spec.Seed)
+	sampler, err := cachedSampler(spec.PCM, spec.Mix, k)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	wearM, err := wear.NewModel(spec.Wear)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	acct, err := energy.NewAccountant(spec.Energy)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lines := spec.Geometry.TotalLines()
 	var source TrafficSource
 	if spec.Source != nil {
 		source = spec.Source
 	} else {
-		// Generator layout draws from a stream split off the main RNG;
-		// the pooled path reuses a scratch RNG for the split, consuming
-		// the same single Uint64 from the main stream as Split would.
-		gr := s.genRNG
-		if gr == nil {
-			gr = new(stats.RNG)
-			s.genRNG = gr
-		}
-		s.rng.SplitInto(gr)
-		gen, err := trace.NewGenerator(spec.Workload, lines, gr)
+		// Generator layout draws from a stream split off the main RNG
+		// into the state's scratch RNG, consuming the same single Uint64
+		// from the main stream as Split would.
+		s.rng.SplitInto(s.genRNG)
+		gen, err := trace.NewGenerator(spec.Workload, lines, s.genRNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		source = gen
 	}
@@ -175,7 +153,7 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	if spec.GapMovePeriod > 0 {
 		lev, err = level.NewStartGap(lines, spec.GapMovePeriod)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		slots = lev.Slots()
 	}
@@ -257,7 +235,7 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	// Scrub-path fault injection (nil injector = bit-identical baseline).
 	inj, err := fault.NewInjector(spec.Fault, spec.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.inj = inj
 	if inj != nil {
@@ -282,7 +260,7 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	// the lowest-numbered lines until real traffic differentiates them.
 	layer, err := ondie.NewLayer(spec.OnDie, slots)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.ondie = layer
 	if layer != nil {
@@ -291,7 +269,7 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	if pp, ok := spec.Policy.(scrub.Profiler); ok {
 		cfg := pp.Profile()
 		if err := cfg.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		s.prof = newProfiler(cfg)
 	} else {
@@ -301,7 +279,7 @@ func (r *Runner) newState(spec Spec) (*state, error) {
 	s.res.SchemeName = spec.Scheme.Name()
 	s.res.WorkloadName = spec.Workload.Name
 	s.res.Lines = lines
-	return s, nil
+	return nil
 }
 
 // codewordBits returns the bits occupied by one encoded line, including

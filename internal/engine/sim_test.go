@@ -1,70 +1,39 @@
-package sim
+package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/ecc"
-	"repro/internal/energy"
-	"repro/internal/mem"
 	"repro/internal/pcm"
 	"repro/internal/scrub"
-	"repro/internal/trace"
-	"repro/internal/wear"
 )
 
-// testConfig returns a small, fast configuration with knobs overridable by
-// the caller.
-func testConfig() Config {
-	return Config{
-		Geometry: mem.Geometry{
-			Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
-			RowsPerBank: 16, LinesPerRow: 8, LineBytes: 64,
-		}, // 256 lines
-		PCM:           pcm.DefaultParams(),
-		Mix:           pcm.UniformMix(),
-		Wear:          wear.DefaultParams(),
-		Energy:        energy.DefaultParams(),
-		Scheme:        ecc.MustBCHLine(4),
-		Policy:        scrub.Basic(),
-		ScrubInterval: 5000,
-		Horizon:       25000,
-		Substeps:      8,
-		Workload: trace.Workload{
-			Name:                "test-mix",
-			WritesPerLinePerSec: 1e-5,
-			ReadsPerLinePerSec:  1e-4,
-			FootprintFrac:       1.0,
-			ZipfSkew:            0.5,
-		},
-		Seed: 42,
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
-	good := testConfig()
+	good := testSpec()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	cases := []struct {
 		name string
-		mut  func(*Config)
+		mut  func(*Spec)
 	}{
-		{"nil scheme", func(c *Config) { c.Scheme = nil }},
-		{"nil policy", func(c *Config) { c.Policy = nil }},
-		{"zero interval", func(c *Config) { c.ScrubInterval = 0 }},
-		{"horizon < interval", func(c *Config) { c.Horizon = c.ScrubInterval / 2 }},
-		{"negative substeps", func(c *Config) { c.Substeps = -1 }},
-		{"huge trackK", func(c *Config) { c.TrackK = 99 }},
-		{"bad geometry", func(c *Config) { c.Geometry.RowsPerBank = 0 }},
-		{"bad pcm", func(c *Config) { c.PCM.SigmaProg = -1 }},
-		{"bad mix", func(c *Config) { c.Mix = pcm.LevelMix{1, 1, 0, 0} }},
-		{"bad wear", func(c *Config) { c.Wear.K = 0 }},
-		{"bad energy", func(c *Config) { c.Energy.ArrayWritePJPerBit = 0 }},
-		{"bad workload", func(c *Config) { c.Workload.FootprintFrac = 0 }},
+		{"nil scheme", func(c *Spec) { c.Scheme = nil }},
+		{"nil policy", func(c *Spec) { c.Policy = nil }},
+		{"zero interval", func(c *Spec) { c.ScrubInterval = 0 }},
+		{"horizon < interval", func(c *Spec) { c.Horizon = c.ScrubInterval / 2 }},
+		{"negative substeps", func(c *Spec) { c.Substeps = -1 }},
+		{"huge trackK", func(c *Spec) { c.TrackK = 99 }},
+		{"bad geometry", func(c *Spec) { c.Geometry.RowsPerBank = 0 }},
+		{"bad pcm", func(c *Spec) { c.PCM.SigmaProg = -1 }},
+		{"bad mix", func(c *Spec) { c.Mix = pcm.LevelMix{1, 1, 0, 0} }},
+		{"bad wear", func(c *Spec) { c.Wear.K = 0 }},
+		{"bad energy", func(c *Spec) { c.Energy.ArrayWritePJPerBit = 0 }},
+		{"bad workload", func(c *Spec) { c.Workload.FootprintFrac = 0 }},
 	}
 	for _, c := range cases {
-		cfg := testConfig()
+		cfg := testSpec()
 		c.mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
@@ -73,8 +42,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunBasicInvariants(t *testing.T) {
-	cfg := testConfig()
-	res, err := Run(cfg)
+	cfg := testSpec()
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +83,12 @@ func TestRunBasicInvariants(t *testing.T) {
 }
 
 func TestRunReproducible(t *testing.T) {
-	cfg := testConfig()
-	a, err := Run(cfg)
+	cfg := testSpec()
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +98,7 @@ func TestRunReproducible(t *testing.T) {
 		t.Error("same seed produced different results")
 	}
 	cfg.Seed = 43
-	c, err := Run(cfg)
+	c, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +108,9 @@ func TestRunReproducible(t *testing.T) {
 }
 
 func TestAlwaysWriteWritesEveryVisit(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Policy = scrub.AlwaysWrite()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +120,9 @@ func TestAlwaysWriteWritesEveryVisit(t *testing.T) {
 }
 
 func TestLightDetectSkipsCleanDecodes(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Policy = scrub.LightBasic()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +136,7 @@ func TestLightDetectSkipsCleanDecodes(t *testing.T) {
 	// light detect must beat full decode there. Total scrub energy is
 	// dominated by write-backs, which differ run to run and carry the
 	// CRC storage overhead, so it is not the right comparison here.
-	full, err := Run(testConfig())
+	full, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +148,14 @@ func TestLightDetectSkipsCleanDecodes(t *testing.T) {
 }
 
 func TestThresholdReducesScrubWrites(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	// Long interval so errors accumulate and the threshold matters.
 	base.ScrubInterval = 50000
 	base.Horizon = 250000
 	runWith := func(p scrub.Policy) *Result {
 		cfg := base
 		cfg.Policy = p
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,14 +170,14 @@ func TestThresholdReducesScrubWrites(t *testing.T) {
 }
 
 func TestSECDEDSuffersMoreUEsThanBCH8(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	base.ScrubInterval = 40000 // ~3 expected drift errors per line per sweep
 	base.Horizon = 200000
 	base.Workload.WritesPerLinePerSec = 0 // pure drift, no demand rewrites
 	runWith := func(s ecc.Scheme) *Result {
 		cfg := base
 		cfg.Scheme = s
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,14 +194,14 @@ func TestSECDEDSuffersMoreUEsThanBCH8(t *testing.T) {
 }
 
 func TestDemandWritesSuppressDriftErrors(t *testing.T) {
-	base := testConfig()
+	base := testSpec()
 	base.ScrubInterval = 40000
 	base.Horizon = 200000
 	base.Scheme = ecc.NewSECDEDLine()
 	runWith := func(rate float64) *Result {
 		cfg := base
 		cfg.Workload.WritesPerLinePerSec = rate
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,12 +215,12 @@ func TestDemandWritesSuppressDriftErrors(t *testing.T) {
 }
 
 func TestUEsRepaired(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Scheme = ecc.NewSECDEDLine()
 	cfg.ScrubInterval = 40000
 	cfg.Horizon = 200000
 	cfg.Workload.WritesPerLinePerSec = 0
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +233,7 @@ func TestUEsRepaired(t *testing.T) {
 }
 
 func TestAdaptiveIntervalMoves(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	a := scrub.AdaptiveConfig{
 		MinInterval: 1000, MaxInterval: 100000,
 		Shrink: 0.5, Grow: 1.5,
@@ -277,7 +246,7 @@ func TestAdaptiveIntervalMoves(t *testing.T) {
 	cfg.Scheme = ecc.MustBCHLine(8) // wide margin → controller should relax
 	cfg.ScrubInterval = 2000
 	cfg.Horizon = 100000
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,9 +258,9 @@ func TestAdaptiveIntervalMoves(t *testing.T) {
 }
 
 func TestRecordRounds(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.RecordRounds = true
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +280,9 @@ func TestRecordRounds(t *testing.T) {
 }
 
 func TestPreAgingCreatesDeadCells(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.InitialLineWrites = 3_000_000_000 // far beyond 10^8 median endurance
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +290,7 @@ func TestPreAgingCreatesDeadCells(t *testing.T) {
 		t.Errorf("every line should have dead cells at 3e9 writes; got %d of %d",
 			res.LinesWithDead, res.Lines)
 	}
-	fresh, err := Run(testConfig())
+	fresh, err := RunContext(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +300,8 @@ func TestPreAgingCreatesDeadCells(t *testing.T) {
 }
 
 func TestResultRateHelpers(t *testing.T) {
-	cfg := testConfig()
-	res, err := Run(cfg)
+	cfg := testSpec()
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,18 +319,18 @@ func TestResultRateHelpers(t *testing.T) {
 }
 
 func TestRunRejectsInvalidConfig(t *testing.T) {
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Scheme = nil
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Error("invalid config accepted by Run")
 	}
 }
 
 func TestWearAccumulatesWithScrubWrites(t *testing.T) {
 	// always-write at a short interval racks up line writes fast.
-	cfg := testConfig()
+	cfg := testSpec()
 	cfg.Policy = scrub.AlwaysWrite()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,10 @@ type Options struct {
 
 // ResolveSpec is the repository's single conversion site from the layered
 // (system, mechanism, workload, options) description to the engine's
-// resolved Spec. Every runner — core's RunOne*/RunReplicated/shards, the
-// scrubd service, the cluster workers — goes through here, so config
-// plumbing semantics cannot drift between execution paths.
+// resolved Spec. Every runner — core's one-shot, matrix, replicated and
+// shard runners, the scrubd service, the cluster workers — goes through
+// here, so config plumbing semantics cannot drift between execution
+// paths.
 func ResolveSpec(sys System, m Mechanism, w trace.Workload, o Options) Spec {
 	return Spec{
 		Geometry:          sys.Geometry,

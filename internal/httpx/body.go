@@ -1,5 +1,6 @@
-// Package httpx holds the small HTTP hygiene helpers every daemon
-// surface in this repo shares: request-body capping and JSON decoding.
+// Package httpx holds the small HTTP helpers every daemon surface in
+// this repo shares: request-body capping, JSON decoding, and the
+// Prometheus text writer behind /metrics.
 // A scrub daemon's ingest path faces untrusted writers; an unbounded
 // body read is an invitation to exhaust the node's memory long before
 // admission control gets a say.

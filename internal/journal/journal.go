@@ -27,6 +27,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/httpx"
 )
 
 // Type enumerates the journal's record kinds.
@@ -242,28 +244,18 @@ func (j *Journal) Close() error {
 // WritePrometheus renders the journal's counters in the Prometheus text
 // format; scrubd appends it to /metrics on journaled nodes.
 func (j *Journal) WritePrometheus(out io.Writer, rec *Recovery) error {
-	type metric struct {
-		name, help, typ string
-		value           float64
-	}
-	metrics := []metric{
-		{"scrubd_journal_records_total", "Journal records durably appended by this process.", "counter", float64(j.Appended())},
-		{"scrubd_journal_fsyncs_total", "Journal fsyncs issued.", "counter", float64(j.synced.Load())},
-		{"scrubd_journal_group_commits_total", "Multi-record batches committed with a single fsync.", "counter", float64(j.batches.Load())},
+	metrics := []httpx.Metric{
+		httpx.Counter("scrubd_journal_records_total", "Journal records durably appended by this process.", float64(j.Appended())),
+		httpx.Counter("scrubd_journal_fsyncs_total", "Journal fsyncs issued.", float64(j.synced.Load())),
+		httpx.Counter("scrubd_journal_group_commits_total", "Multi-record batches committed with a single fsync.", float64(j.batches.Load())),
 	}
 	if rec != nil {
 		metrics = append(metrics,
-			metric{"scrubd_journal_replayed_records_total", "Valid records replayed from the previous incarnation at boot.", "counter", float64(rec.Records)},
-			metric{"scrubd_journal_skipped_records_total", "Corrupt or truncated records dropped during replay.", "counter", float64(rec.Skipped)},
+			httpx.Counter("scrubd_journal_replayed_records_total", "Valid records replayed from the previous incarnation at boot.", float64(rec.Records)),
+			httpx.Counter("scrubd_journal_skipped_records_total", "Corrupt or truncated records dropped during replay.", float64(rec.Skipped)),
 		)
 	}
-	for _, m := range metrics {
-		if _, err := fmt.Fprintf(out, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-			m.name, m.help, m.name, m.typ, m.name, m.value); err != nil {
-			return err
-		}
-	}
-	return nil
+	return httpx.WriteProm(out, metrics)
 }
 
 // replayFile scans the file from the start, returning the recovery state

@@ -1,7 +1,7 @@
 // Package memctrl is the analytic memory-controller timing model used to
 // estimate the performance cost of scrub traffic: how much bank bandwidth
 // patrol reads and write-backs consume, and how much demand requests slow
-// down as a result. The reliability simulator (internal/sim) produces
+// down as a result. The reliability simulator (internal/engine) produces
 // scrub operation *rates*; this package converts them into utilisation and
 // slowdown figures (experiment F9).
 package memctrl

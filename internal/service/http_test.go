@@ -346,6 +346,21 @@ func TestHTTPListAndMetrics(t *testing.T) {
 	}
 }
 
+// TestShortHorizonJobCompletes runs a spec whose horizon puts the
+// combined mechanism's adaptive cap below its default floor through the
+// real runner: the job must finish, not panic.
+func TestShortHorizonJobCompletes(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
+	spec := tinySpec(5)
+	spec.Mechanism = "combined"
+	spec.HorizonSec = 900
+	sub := mustSubmit(t, s, spec)
+	if v := waitState(t, s, sub.ID, StateDone); v.Result == nil {
+		t.Fatal("done job carries no result")
+	}
+}
+
 // TestDefaultRunnerReplicated exercises the real runner directly,
 // checking replica fan-out and fault propagation into the result.
 func TestDefaultRunnerReplicated(t *testing.T) {

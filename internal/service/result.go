@@ -2,8 +2,8 @@ package service
 
 import (
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -64,7 +64,7 @@ type OnDieMetrics struct {
 	AtRiskVisits        int64 `json:"at_risk_visits,omitempty"`
 }
 
-func newOnDieMetrics(res *sim.Result) *OnDieMetrics {
+func newOnDieMetrics(res *engine.Result) *OnDieMetrics {
 	if res.OnDieCorrectedBits == 0 && res.OnDieOverflows == 0 &&
 		res.OnDieWeakLines == 0 && res.OnDieCheckBitsSaved == 0 &&
 		res.ProfileRounds == 0 && res.ProfileReads == 0 &&
@@ -135,7 +135,7 @@ type RunMetrics struct {
 }
 
 // NewRunMetrics encodes one simulation result.
-func NewRunMetrics(res *sim.Result) RunMetrics {
+func NewRunMetrics(res *engine.Result) RunMetrics {
 	return RunMetrics{
 		Scheme:           res.SchemeName,
 		Policy:           res.PolicyName,
@@ -178,8 +178,8 @@ func NewRunMetrics(res *sim.Result) RunMetrics {
 // encoded from, as far as the wire form carries it (everything the CLI
 // report renders). It lets a client print the same report for a remote
 // result that a local run would produce.
-func (m RunMetrics) ToSimResult() *sim.Result {
-	res := &sim.Result{
+func (m RunMetrics) ToSimResult() *engine.Result {
+	res := &engine.Result{
 		SchemeName:      m.Scheme,
 		PolicyName:      m.Policy,
 		WorkloadName:    m.Workload,

@@ -32,7 +32,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 		t.Error("derived statistics differ after round trip")
 	}
 	// Value receivers marshal too (Summary is embedded by value in
-	// sim.Result).
+	// engine.Result).
 	byValue, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
