@@ -282,8 +282,10 @@ FLEET_SPEC = {"workload":"idle-archive","seed":42,"geometry":{"channels":1,"rank
 
 # smoke-fleet boots scrubd with the fleet control plane, registers a
 # device, waits for telemetry-driven repair to fire, PATCHes the patrol
-# rate live, runs a preempting on-demand region scrub, and checks the
-# scrubd_fleet_* metrics before draining.
+# rate live, runs a preempting on-demand region scrub, checks the
+# scrubd_fleet_* metrics, and checks that a scrub range whose first+count
+# overflows is refused with 400 while the daemon keeps serving, before
+# draining.
 smoke-fleet:
 	@set -e; \
 	dir=$$(mktemp -d); bin=$$dir/scrubd; log=$$dir/scrubd.log; \
@@ -321,6 +323,12 @@ smoke-fleet:
 	curl -sf $$base/metrics | grep -q 'scrubd_fleet_scrub_jobs_total 1' || { echo "smoke-fleet: scrub-job metric missing"; exit 1; }; \
 	curl -sf $$base/metrics | grep 'scrubd_fleet_repairs_total' | grep -qv ' 0$$' || { echo "smoke-fleet: repair metric still zero"; exit 1; }; \
 	curl -sf $$base/v1/fleet/devices/$$id/telemetry?limit=5 | grep -q '"window_ces"' || { echo "smoke-fleet: telemetry empty"; exit 1; }; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST $$base/v1/fleet/devices/$$id/scrubs -d '{"first":9223372036854775807,"count":1}'); \
+	[ "$$code" = 400 ] || { echo "smoke-fleet: overflowing scrub range got $$code, want 400"; exit 1; }; \
+	sleep 0.2; \
+	curl -sf -o /dev/null $$base/healthz || { echo "smoke-fleet: daemon down after an overflowing scrub range"; exit 1; }; \
+	curl -sf $$base/v1/fleet/devices | grep -q "\"id\":\"$$id\"" || { echo "smoke-fleet: device gone after an overflowing scrub range"; exit 1; }; \
+	echo "smoke-fleet: overflowing scrub range refused, daemon still serving"; \
 	kill -TERM $$pid; wait $$pid; \
 	grep -q 'scrubd: stopped' $$log; \
 	rm -rf $$dir; \

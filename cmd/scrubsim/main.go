@@ -17,11 +17,14 @@
 //	scrubsim -mechanism combined -trace-stages            # per-stage engine timings
 //	scrubsim -submit http://127.0.0.1:8344 -replicas 8    # run remotely on scrubd
 //
-// With -submit the flags become a scrubd job spec: the job is POSTed to
-// the daemon, polled until it finishes, and reported exactly like a
-// local run (plus a replica-spread summary when -replicas > 1). Flags
-// that have no job-spec equivalent (-trace, -record, -gap, -slc, -ecp,
-// -trace-stages) are rejected in this mode.
+// The flags always become a scrubd job spec (service.Spec), so a local
+// run and a submitted one read every shared flag the same way (-seed 0,
+// for instance, selects the default seed 1 on both). A local run builds
+// the spec in-process and layers the local-only flags (-trace, -record,
+// -gap, -slc, -ecp, -trace-stages) on top. With -submit the job is
+// POSTed to the daemon, polled until it finishes, and reported exactly
+// like a local run (plus a replica-spread summary when -replicas > 1);
+// the local-only flags are rejected in this mode.
 package main
 
 import (
@@ -40,60 +43,62 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/ecc"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/ondie"
-	"repro/internal/scrub"
 	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "scrubsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args as scrubsim's command line and executes it.
+func run(args []string) error {
+	fs := flag.NewFlagSet("scrubsim", flag.ExitOnError)
 	var (
-		mechName = flag.String("mechanism", "combined", "suite mechanism: basic|strong-ecc|light-detect|threshold|combined (overridden by -scheme/-policy)")
-		workload = flag.String("workload", "db-oltp", "built-in workload name (see -list)")
-		horizon  = flag.Float64("horizon", 0, "simulated seconds (0 = system default)")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		interval = flag.Float64("interval", 0, "initial scrub interval seconds (0 = derived)")
-		schemeN  = flag.String("scheme", "", "override ECC scheme: SECDED or BCH-<t>")
-		policyN  = flag.String("policy", "", "override policy: basic|always|light|threshold-<k>|combined-<k>|profiled|profiled-<k>")
-		aged     = flag.Uint64("aged", 0, "pre-age every line by this many writes")
-		gap      = flag.Uint64("gap", 0, "enable Start-Gap wear leveling with this gap-move period (0 = off)")
-		slc      = flag.Float64("slc", 0, "fraction of writes stored drift-free in SLC form (form switch)")
-		ecpN     = flag.Int("ecp", 0, "error-correcting pointer entries per line (0 = off)")
-		traceIn  = flag.String("trace", "", "replay demand writes from this trace file instead of the synthetic workload")
-		record   = flag.String("record", "", "record the workload's event stream to this trace file and exit")
-		list     = flag.Bool("list", false, "list workloads and mechanisms, then exit")
-		jsonOut  = flag.Bool("json", false, "emit the run result as a single JSON object (the scrubd result encoding)")
-		timeout  = flag.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
-		traceStg = flag.Bool("trace-stages", false, "record per-stage wall-clock spans of the run pipeline and print them after the report (local runs only)")
-		submit   = flag.String("submit", "", "submit the run as a job to this scrubd base URL instead of simulating locally")
-		replicas = flag.Int("replicas", 0, "Monte Carlo replica count for -submit jobs (0 = 1)")
-		pollWait = flag.Duration("poll-timeout", 0, "give up waiting for a submitted job after this long (0 = wait forever)")
+		mechName = fs.String("mechanism", "combined", "suite mechanism: basic|strong-ecc|light-detect|threshold|combined (overridden by -scheme/-policy)")
+		workload = fs.String("workload", "db-oltp", "built-in workload name (see -list)")
+		horizon  = fs.Float64("horizon", 0, "simulated seconds (0 = system default)")
+		seed     = fs.Uint64("seed", 1, "simulation seed (0 = the default, 1)")
+		interval = fs.Float64("interval", 0, "initial scrub interval seconds (0 = derived; negative is an error)")
+		schemeN  = fs.String("scheme", "", "override ECC scheme: SECDED or BCH-<t>")
+		policyN  = fs.String("policy", "", "override policy: basic|always|light|threshold-<k>|combined-<k>|profiled|profiled-<k>")
+		aged     = fs.Uint64("aged", 0, "pre-age every line by this many writes")
+		gap      = fs.Uint64("gap", 0, "enable Start-Gap wear leveling with this gap-move period (0 = off)")
+		slc      = fs.Float64("slc", 0, "fraction of writes stored drift-free in SLC form (form switch)")
+		ecpN     = fs.Int("ecp", 0, "error-correcting pointer entries per line (0 = off)")
+		traceIn  = fs.String("trace", "", "replay demand writes from this trace file instead of the synthetic workload")
+		record   = fs.String("record", "", "record the workload's event stream to this trace file and exit")
+		list     = fs.Bool("list", false, "list workloads and mechanisms, then exit")
+		jsonOut  = fs.Bool("json", false, "emit the run result as a single JSON object (the scrubd result encoding)")
+		timeout  = fs.Duration("timeout", 0, "abort the simulation after this long (0 = no limit)")
+		traceStg = fs.Bool("trace-stages", false, "record per-stage wall-clock spans of the run pipeline and print them after the report (local runs only)")
+		submit   = fs.String("submit", "", "submit the run as a job to this scrubd base URL instead of simulating locally")
+		replicas = fs.Int("replicas", 0, "Monte Carlo replica count for -submit jobs (0 = 1)")
+		pollWait = fs.Duration("poll-timeout", 0, "give up waiting for a submitted job after this long (0 = wait forever)")
 
-		faultRead      = flag.Float64("fault-read", 0, "per-visit probability a scrub read flips extra bits")
-		faultReadBits  = flag.Int("fault-read-bits", 0, "max phantom bits per faulty read (0 = default)")
-		faultSkip      = flag.Float64("fault-skip", 0, "per-sweep probability the sweep is cut short")
-		faultProbeMiss = flag.Float64("fault-probe-miss", 0, "probability a dirty light probe aliases to clean")
-		faultStuck     = flag.Float64("fault-stuck", 0, "per-line probability of stuck ECC check bits")
-		faultStall     = flag.Float64("fault-stall", 0, "per-sweep probability of a controller stall")
+		faultRead      = fs.Float64("fault-read", 0, "per-visit probability a scrub read flips extra bits")
+		faultReadBits  = fs.Int("fault-read-bits", 0, "max phantom bits per faulty read (0 = default)")
+		faultSkip      = fs.Float64("fault-skip", 0, "per-sweep probability the sweep is cut short")
+		faultProbeMiss = fs.Float64("fault-probe-miss", 0, "probability a dirty light probe aliases to clean")
+		faultStuck     = fs.Float64("fault-stuck", 0, "per-line probability of stuck ECC check bits")
+		faultStall     = fs.Float64("fault-stall", 0, "per-sweep probability of a controller stall")
 
-		ondieT        = flag.Int("ondie-t", 0, "on-die ECC strength per 64-bit word: 1 = SECDED, 2..9 = BCH-t (0 = off)")
-		ondieWeakT    = flag.Int("ondie-weak-t", 0, "weaker on-die strength for the coldest lines (Luo-style capacity trade; 0 = uniform)")
-		ondieWeakFrac = flag.Float64("ondie-weak-frac", 0, "fraction of lines (coldest first) running the weaker on-die code")
+		ondieT        = fs.Int("ondie-t", 0, "on-die ECC strength per 64-bit word: 1 = SECDED, 2..9 = BCH-t (0 = off)")
+		ondieWeakT    = fs.Int("ondie-weak-t", 0, "weaker on-die strength for the coldest lines (Luo-style capacity trade; 0 = uniform)")
+		ondieWeakFrac = fs.Float64("ondie-weak-frac", 0, "fraction of lines (coldest first) running the weaker on-die code")
 
-		version = flag.Bool("version", false, "print build version and exit")
+		version = fs.Bool("version", false, "print build version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *version {
 		fmt.Println("scrubsim", buildinfo.Get())
@@ -128,43 +133,46 @@ func run() error {
 		return err
 	}
 
+	// One job spec describes the run on both paths: -submit sends it to
+	// scrubd, a local run builds it here, so the two cannot diverge.
+	spec := service.Spec{
+		Mechanism:   *mechName,
+		Scheme:      *schemeN,
+		Policy:      *policyN,
+		IntervalSec: *interval,
+		Workload:    *workload,
+		HorizonSec:  *horizon,
+		Seed:        *seed,
+		Replicas:    *replicas,
+		AgedWrites:  uint32(*aged),
+	}
+	if plan.Enabled() {
+		spec.Fault = &service.FaultSpec{
+			ReadFlipRate:    plan.ReadFlipRate,
+			ReadFlipMaxBits: plan.ReadFlipMaxBits,
+			SweepSkipRate:   plan.SweepSkipRate,
+			ProbeMissRate:   plan.ProbeMissRate,
+			StuckCheckRate:  plan.StuckCheckRate,
+			StallRate:       plan.StallRate,
+		}
+	}
+	if odCfg.Enabled() {
+		spec.OnDie = &service.OnDieSpec{
+			T:            odCfg.T,
+			WeakT:        odCfg.WeakT,
+			WeakFraction: odCfg.WeakFraction,
+		}
+	}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+
 	if *submit != "" {
 		if *traceIn != "" || *record != "" || *gap != 0 || *slc != 0 || *ecpN != 0 || *traceStg {
 			return fmt.Errorf("-trace, -record, -gap, -slc, -ecp and -trace-stages have no job-spec equivalent; drop them or run locally")
-		}
-		spec := service.Spec{
-			Mechanism:   *mechName,
-			Scheme:      *schemeN,
-			Policy:      *policyN,
-			IntervalSec: *interval,
-			Workload:    *workload,
-			HorizonSec:  *horizon,
-			Seed:        *seed,
-			Replicas:    *replicas,
-			AgedWrites:  uint32(*aged),
-		}
-		if plan.Enabled() {
-			spec.Fault = &service.FaultSpec{
-				ReadFlipRate:    plan.ReadFlipRate,
-				ReadFlipMaxBits: plan.ReadFlipMaxBits,
-				SweepSkipRate:   plan.SweepSkipRate,
-				ProbeMissRate:   plan.ProbeMissRate,
-				StuckCheckRate:  plan.StuckCheckRate,
-				StallRate:       plan.StallRate,
-			}
-		}
-		if odCfg.Enabled() {
-			spec.OnDie = &service.OnDieSpec{
-				T:            odCfg.T,
-				WeakT:        odCfg.WeakT,
-				WeakFraction: odCfg.WeakFraction,
-			}
-		}
-		ctx := context.Background()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
 		}
 		return submitAndReport(ctx, *submit, spec, *jsonOut, *pollWait)
 	}
@@ -172,72 +180,23 @@ func run() error {
 		return fmt.Errorf("-replicas needs -submit; local runs are single (use scrubd or cmd/experiments for campaigns)")
 	}
 
-	sys := core.DefaultSystem()
-	sys.Seed = *seed
-	if *horizon > 0 {
-		sys.Horizon = *horizon
-	}
-	if *aged > 0 {
-		sys.InitialLineWrites = uint32(*aged)
-	}
-	if plan.Enabled() {
-		sys.Fault = plan
-	}
-	if odCfg.Enabled() {
-		sys.OnDie = odCfg
-	}
-
-	w, err := trace.ByName(*workload)
+	sys, mech, w, err := spec.Build()
 	if err != nil {
 		return err
 	}
-
 	if *record != "" {
 		return recordTrace(sys, w, *record)
 	}
-	var source engine.TrafficSource
-	if *traceIn != "" {
-		source, err = loadTrace(sys, *traceIn)
-		if err != nil {
-			return err
-		}
-	}
-
-	mech, err := core.SuiteMechanism(sys, *mechName)
-	if err != nil {
-		return err
-	}
-	if *schemeN != "" {
-		s, err := ecc.ByName(*schemeN)
-		if err != nil {
-			return err
-		}
-		mech.Scheme = s
-		mech.Name = *schemeN + "+" + mech.Policy.Name()
-	}
-	if *policyN != "" {
-		p, err := parsePolicy(*policyN)
-		if err != nil {
-			return err
-		}
-		mech.Policy = p
-		mech.Name = mech.Scheme.Name() + "+" + p.Name()
-	}
-	if *interval > 0 {
-		mech.Interval = *interval
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	// Local-only options ride on top of the built spec.
 	opts := core.Options{
 		GapMovePeriod: *gap,
 		SLCFraction:   *slc,
-		Source:        source,
 		ECPEntries:    *ecpN,
+	}
+	if *traceIn != "" {
+		if opts.Source, err = loadTrace(sys, *traceIn); err != nil {
+			return err
+		}
 	}
 	var spans *engine.SpanRecorder
 	if *traceStg {
@@ -625,10 +584,4 @@ func loadTrace(sys core.System, path string) (engine.TrafficSource, error) {
 		return nil, err
 	}
 	return trace.NewReplayer(events, sys.Geometry.TotalLines())
-}
-
-// parsePolicy builds a policy from a compact CLI spec (shared with the
-// scrubd job API).
-func parsePolicy(spec string) (scrub.Policy, error) {
-	return scrub.ByName(spec)
 }

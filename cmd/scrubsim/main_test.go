@@ -3,59 +3,81 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/scrub"
 	"repro/internal/service"
 )
 
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		spec   string
-		name   string
-		detect scrub.Detection
-	}{
-		{"basic", "basic", scrub.FullDecode},
-		{"always", "always-write", scrub.FullDecode},
-		{"light", "basic+light", scrub.LightDetect},
-		{"threshold-3", "threshold-3", scrub.FullDecode},
-		{"combined-5", "combined", scrub.LightDetect},
-	}
-	for _, c := range cases {
-		p, err := parsePolicy(c.spec)
-		if err != nil {
-			t.Fatalf("parsePolicy(%q): %v", c.spec, err)
-		}
-		if p.Name() != c.name {
-			t.Errorf("parsePolicy(%q).Name() = %q, want %q", c.spec, p.Name(), c.name)
-		}
-		if p.Detection() != c.detect {
-			t.Errorf("parsePolicy(%q) detection = %v, want %v", c.spec, p.Detection(), c.detect)
-		}
-	}
-}
-
-func TestParsePolicyThresholdSemantics(t *testing.T) {
-	p, err := parsePolicy("threshold-4")
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ShouldWriteBack(scrub.VisitInfo{ErrBits: 3}) {
-		t.Error("threshold-4 wrote at 3 errors")
+	orig := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = orig }()
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	runErr := fn()
+	w.Close()
+	return string(<-out), runErr
+}
+
+// TestSeedZeroSameLocallyAndSubmitted pins that local runs and -submit
+// jobs build the same run from the same flags: -seed 0 selects the job
+// spec's default seed on both paths, so the local result equals the
+// remote job's only run.
+func TestSeedZeroSameLocallyAndSubmitted(t *testing.T) {
+	svc := service.New(service.Config{QueueCapacity: 4, Workers: 1, CacheCapacity: 4})
+	defer shutdownService(t, svc)
+	srv := httptest.NewServer(service.NewHandler(svc))
+	defer srv.Close()
+
+	args := []string{"-mechanism", "basic", "-horizon", "7200", "-seed", "0", "-json"}
+	localOut, err := captureStdout(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatalf("local run: %v", err)
 	}
-	if !p.ShouldWriteBack(scrub.VisitInfo{ErrBits: 4}) {
-		t.Error("threshold-4 refused at 4 errors")
+	remoteOut, err := captureStdout(t, func() error { return run(append(args, "-submit", srv.URL)) })
+	if err != nil {
+		t.Fatalf("submitted run: %v", err)
+	}
+	var local service.RunMetrics
+	if err := json.Unmarshal([]byte(localOut), &local); err != nil {
+		t.Fatalf("decode local output: %v", err)
+	}
+	var remote service.Result
+	if err := json.Unmarshal([]byte(remoteOut), &remote); err != nil {
+		t.Fatalf("decode remote output: %v", err)
+	}
+	if len(remote.Runs) != 1 {
+		t.Fatalf("remote runs = %d, want 1", len(remote.Runs))
+	}
+	gotJSON, _ := json.Marshal(local)
+	wantJSON, _ := json.Marshal(remote.Runs[0])
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("local -seed 0 run differs from the submitted one:\n local %s\nremote %s", gotJSON, wantJSON)
 	}
 }
 
-func TestParsePolicyRejectsUnknown(t *testing.T) {
-	for _, spec := range []string{"", "bogus", "threshold-", "threshold-x", "combined"} {
-		if _, err := parsePolicy(spec); err == nil {
-			t.Errorf("parsePolicy(%q) accepted", spec)
-		}
+// TestNegativeIntervalRejectedLocally pins that a local run rejects a
+// negative -interval, as a submitted job does, instead of ignoring it.
+func TestNegativeIntervalRejectedLocally(t *testing.T) {
+	err := run([]string{"-interval", "-60", "-horizon", "7200"})
+	if err == nil || !strings.Contains(err.Error(), "interval") {
+		t.Fatalf("run with -interval -60: err = %v, want an interval error", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -475,7 +476,8 @@ func TestWorkerRejectsBadShardRange(t *testing.T) {
 	for _, rg := range []ShardRequest{
 		{Spec: spec, First: -1, Count: 2},
 		{Spec: spec, First: 0, Count: 0},
-		{Spec: spec, First: 1, Count: 2}, // exceeds 2 replicas
+		{Spec: spec, First: 1, Count: 2},                     // exceeds 2 replicas
+		{Spec: spec, First: math.MaxInt, Count: math.MaxInt}, // First+Count wraps negative
 	} {
 		body, _ := json.Marshal(rg)
 		req := httptest.NewRequest(http.MethodPost, ShardPath, bytes.NewReader(body))

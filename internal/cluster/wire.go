@@ -62,7 +62,7 @@ func (r *ShardRequest) Validate() error {
 	if r.Count < 1 {
 		return fmt.Errorf("cluster: shard count %d must be >= 1", r.Count)
 	}
-	if r.First+r.Count > r.Spec.Replicas {
+	if r.Count > r.Spec.Replicas-r.First {
 		return fmt.Errorf("cluster: shard [%d,+%d) exceeds %d replicas", r.First, r.Count, r.Spec.Replicas)
 	}
 	return nil

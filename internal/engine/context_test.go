@@ -24,7 +24,7 @@ func TestRunContextCanceledBeforeStart(t *testing.T) {
 // substep, not grind to the horizon.
 func TestRunContextCancelMidRun(t *testing.T) {
 	cfg := testSpec()
-	cfg.Horizon = cfg.ScrubInterval * 1e6 // far more sweeps than we'll allow
+	cfg.Horizon = cfg.Interval * 1e6 // far more sweeps than we'll allow
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -45,7 +45,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 
 func TestRunContextDeadline(t *testing.T) {
 	cfg := testSpec()
-	cfg.Horizon = cfg.ScrubInterval * 1e6
+	cfg.Horizon = cfg.Interval * 1e6
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	_, err := RunContext(ctx, cfg)

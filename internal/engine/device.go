@@ -74,7 +74,7 @@ type ChunkReport struct {
 }
 
 // NewDevice validates the spec and initialises a persistent device at
-// simulated time zero. The spec's Horizon and ScrubInterval are not used
+// simulated time zero. The spec's Horizon and Interval are not used
 // for stepping (the caller owns time); they only need to satisfy spec
 // validation. The device's state comes fresh from statePool.New and is
 // never returned to the pool: it lives as long as the device.
@@ -115,55 +115,35 @@ func (d *Device) Totals() Result {
 	return res
 }
 
-// applyDemand advances demand traffic over [d.t, d.t+dt): workload writes
-// land at uniform times inside the window, exactly as the one-shot run
-// loop applies them ahead of a substep's visits.
-func (d *Device) applyDemand(dt float64, rep *ChunkReport) {
-	s := d.s
-	before := s.res.DemandWrites
-	s.eventBuf = s.source.WritesInEpoch(s.rng, d.t, dt, s.eventBuf)
-	for _, line := range s.eventBuf {
-		tw := d.t + s.rng.Float64()*dt
-		s.writeLine(s.mapSlot(line), tw)
-		s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
-		s.res.DemandWrites++
-		s.recordArrayWrite(tw)
+// begin opens one increment of dt simulated seconds: it checks dt and
+// applies the window's demand traffic, exactly as the one-shot run loop
+// applies it ahead of a substep's visits.
+func (d *Device) begin(op string, dt float64, obs []LineObservation) (ChunkReport, error) {
+	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
+		return ChunkReport{}, fmt.Errorf("engine: %s dt must be positive and finite, got %g", op, dt)
 	}
-	rep.DemandWrites += s.res.DemandWrites - before
+	rep := ChunkReport{SimSeconds: dt, Observations: obs[:0]}
+	rep.DemandWrites = int64(d.s.applyDemand(d.t, dt))
+	return rep, nil
 }
 
-// visitObserved performs one scrub visit at time tv and derives the
-// per-line observation from the engine counters' deltas, so the hot visit
-// path itself stays untouched.
+// visitObserved performs one scrub visit at time tv and folds what it
+// observed and did into the report.
 func (d *Device) visitObserved(slot int, tv float64, rs *scrub.RoundStats, rep *ChunkReport) {
-	s := d.s
-	errBits, _ := s.errorBits(slot, tv)
-	if s.ondie != nil {
-		// Telemetry reports what the controller can see: the on-die layer
-		// hides sub-strength errors from the observation record too.
-		// Visible is the pure transform — the visit itself does the
-		// counted Observe.
-		errBits = s.ondie.Visible(slot, errBits)
-	}
-	preUE := s.res.UEs
-	preWB := s.res.ScrubWriteBacks
-	preCorr := s.res.CorrectedBits
-	s.visit(slot, tv, rs)
+	o := d.s.visit(slot, tv, rs)
 	rep.Lines++
-	ue := s.res.UEs > preUE
-	wb := s.res.ScrubWriteBacks > preWB
-	rep.CorrectedBits += s.res.CorrectedBits - preCorr
-	if ue {
+	if o.ue {
 		rep.UEs++
-	} else if errBits > 0 {
+	} else if o.errBits > 0 {
 		rep.CELines++
 	}
-	if wb {
+	if o.wroteBack {
 		rep.WriteBacks++
+		rep.CorrectedBits += int64(o.errBits)
 	}
-	if ue || errBits > 0 {
+	if o.ue || o.errBits > 0 {
 		rep.Observations = append(rep.Observations, LineObservation{
-			Line: slot, ErrBits: errBits, UE: ue, WroteBack: wb,
+			Line: slot, ErrBits: o.errBits, UE: o.ue, WroteBack: o.wroteBack,
 		})
 	}
 }
@@ -177,37 +157,23 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 	if n <= 0 {
 		return ChunkReport{}, fmt.Errorf("engine: patrol chunk size must be positive, got %d", n)
 	}
-	if n > d.s.slots {
-		n = d.s.slots
+	n = min(n, d.s.slots)
+	rep, err := d.begin("patrol chunk", dt, obs)
+	if err != nil {
+		return ChunkReport{}, err
 	}
-	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
-		return ChunkReport{}, fmt.Errorf("engine: patrol chunk dt must be positive and finite, got %g", dt)
-	}
-	rep := ChunkReport{SimSeconds: dt, Observations: obs[:0]}
-	d.applyDemand(dt, &rep)
 	s := d.s
 	rs := scrub.RoundStats{Capability: s.scheme.T()}
 	for j := 0; j < n; j++ {
-		slot := int(s.visitOrder[d.cursor])
-		d.cursor++
-		if d.cursor == s.slots {
+		slot, ok := s.patrolTarget(d.cursor)
+		if d.cursor++; d.cursor == s.slots {
 			d.cursor = 0
 			d.rounds++
 			rep.WrappedRound = true
 		}
-		tv := d.t + dt*float64(j+1)/float64(n)
-		if s.lev != nil && slot == s.lev.Gap() {
-			continue
+		if ok {
+			d.visitObserved(slot, d.t+dt*float64(j+1)/float64(n), &rs, &rep)
 		}
-		// Patrol bias toward the at-risk set, same one-for-one visit
-		// replacement as the one-shot run loop.
-		if s.prof != nil {
-			if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
-				slot = r
-				s.prof.redirected++
-			}
-		}
-		d.visitObserved(slot, tv, &rs, &rep)
 	}
 	d.t += dt
 	// A completed patrol pass is the device analogue of a sweep: it is
@@ -223,24 +189,20 @@ func (d *Device) PatrolChunk(n int, dt float64, obs []LineObservation) (ChunkRep
 // seconds, then every line in the range is visited. The patrol cursor is
 // untouched — on-demand work preempts patrol, it does not advance it.
 func (d *Device) ScrubRange(first, count int, dt float64, obs []LineObservation) (ChunkReport, error) {
-	if first < 0 || count <= 0 || first+count > d.s.lines {
-		return ChunkReport{}, fmt.Errorf("engine: scrub range [%d,%d) outside device [0,%d)",
-			first, first+count, d.s.lines)
+	if first < 0 || count <= 0 || count > d.s.lines-first {
+		return ChunkReport{}, fmt.Errorf("engine: scrub range [%d,+%d) outside device [0,%d)",
+			first, count, d.s.lines)
 	}
-	if dt <= 0 || math.IsInf(dt, 0) || math.IsNaN(dt) {
-		return ChunkReport{}, fmt.Errorf("engine: scrub range dt must be positive and finite, got %g", dt)
+	rep, err := d.begin("scrub range", dt, obs)
+	if err != nil {
+		return ChunkReport{}, err
 	}
-	rep := ChunkReport{SimSeconds: dt, Observations: obs[:0]}
-	d.applyDemand(dt, &rep)
 	s := d.s
 	rs := scrub.RoundStats{Capability: s.scheme.T()}
 	for j := 0; j < count; j++ {
-		slot := s.mapSlot(first + j)
-		if s.lev != nil && slot == s.lev.Gap() {
-			continue
+		if slot := s.mapSlot(first + j); !s.isGap(slot) {
+			d.visitObserved(slot, d.t+dt*float64(j+1)/float64(count), &rs, &rep)
 		}
-		tv := d.t + dt*float64(j+1)/float64(count)
-		d.visitObserved(slot, tv, &rs, &rep)
 	}
 	d.t += dt
 	return rep, nil
@@ -283,11 +245,7 @@ func (d *Device) RepairLine(line int) error {
 		return fmt.Errorf("engine: repair line %d outside device [0,%d)", line, d.s.lines)
 	}
 	s := d.s
-	slot := s.mapSlot(line)
-	s.weakBuf = s.wearM.SampleWeakest(s.rng, s.weakBuf)
-	copy(s.weakest[slot*s.kw:(slot+1)*s.kw], s.weakBuf)
-	s.writes[slot] = 0
-	s.writeLine(slot, d.t)
+	s.freshCells(s.mapSlot(line), 0, d.t)
 	s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
 	s.res.RepairWrites++
 	return nil

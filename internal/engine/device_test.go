@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -81,8 +82,11 @@ func TestDeviceScrubRangeLeavesPatrolCursor(t *testing.T) {
 	if d.PatrolCursor() != cur {
 		t.Errorf("on-demand scrub moved the patrol cursor: %d -> %d", cur, d.PatrolCursor())
 	}
-	if _, err := d.ScrubRange(120, 16, 100, nil); err == nil {
-		t.Error("out-of-range scrub accepted")
+	// The last three ranges overflow first+count to a negative sum.
+	for _, r := range [][2]int{{120, 16}, {math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt, math.MaxInt}} {
+		if _, err := d.ScrubRange(r[0], r[1], 100, nil); err == nil {
+			t.Errorf("out-of-range scrub [%d,+%d) accepted", r[0], r[1])
+		}
 	}
 	if _, err := d.ScrubRange(0, 8, 0, nil); err == nil {
 		t.Error("zero-dt scrub accepted")

@@ -21,7 +21,7 @@ func TestECPAbsorbsStuckCells(t *testing.T) {
 	// with ECP-8 the stuck cells vanish from the ECC's view.
 	base := testSpec()
 	base.InitialLineWrites = 30_000_000
-	base.ScrubInterval = 20000
+	base.Interval = 20000
 	base.Horizon = 100000
 	base.Workload.WritesPerLinePerSec = 0
 	base.Policy = scrub.Threshold(4)

@@ -3,11 +3,15 @@
 // pool, cluster shard execution and the fleet's long-lived devices —
 // funnels into the engine's single per-line scrub/detect/correct/write-back
 // loop. RunContext runs a Spec to its horizon; NewDevice holds the same
-// state open for caller-driven stepping.
+// state open for caller-driven stepping. Both step through the same
+// helpers: applyDemand lands a window's demand writes, patrolTarget picks
+// a patrol visit's slot (skipping the leveler's gap, applying the
+// profiling redirect), and visit probes, decodes and writes back one line
+// and returns what it saw and did.
 //
-// The engine takes a resolved Spec (one struct subsuming the system
-// description, the mechanism under test, and the optional substrates) and
-// executes it with:
+// A Spec embeds the System, the Mechanism under test and the Options
+// (optional substrates and instrumentation), plus the workload, so
+// ResolveSpec is a plain struct literal. The engine executes it with:
 //
 //   - pluggable instrumentation (per-stage span timings, progress and
 //     round callbacks — see Hooks) that is free when unused;
@@ -20,9 +24,8 @@
 //     samplers are shared across runs of the same device parameters, and
 //     endurance initialisation uses batched RNG draws.
 //
-// All of this is behaviour-preserving: a run's Result is byte-identical
-// to the pre-engine sim loop for the same Spec, which the golden
-// fingerprint tests in this package and internal/core pin.
+// None of this changes results: the golden fingerprint tests in this
+// package and internal/core pin a run's Result for a given Spec.
 package engine
 
 import "context"

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/ondie"
 	"repro/internal/pcm"
 	"repro/internal/scrub"
 	"repro/internal/trace"
@@ -31,21 +33,21 @@ func testWorkload() trace.Workload {
 // basic full-decode patrol. Tests override its knobs individually.
 func testSpec() Spec {
 	return Spec{
-		Geometry: mem.Geometry{
-			Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
-			RowsPerBank: 16, LinesPerRow: 8, LineBytes: 64,
+		System: System{
+			Geometry: mem.Geometry{
+				Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
+				RowsPerBank: 16, LinesPerRow: 8, LineBytes: 64,
+			},
+			PCM:      pcm.DefaultParams(),
+			Mix:      pcm.UniformMix(),
+			Wear:     wear.DefaultParams(),
+			Energy:   energy.DefaultParams(),
+			Horizon:  25000,
+			Substeps: 8,
+			Seed:     42,
 		},
-		PCM:           pcm.DefaultParams(),
-		Mix:           pcm.UniformMix(),
-		Wear:          wear.DefaultParams(),
-		Energy:        energy.DefaultParams(),
-		Scheme:        ecc.MustBCHLine(4),
-		Policy:        scrub.Basic(),
-		ScrubInterval: 5000,
-		Horizon:       25000,
-		Substeps:      8,
-		Workload:      testWorkload(),
-		Seed:          42,
+		Mechanism: Mechanism{Scheme: ecc.MustBCHLine(4), Policy: scrub.Basic(), Interval: 5000},
+		Workload:  testWorkload(),
 	}
 }
 
@@ -252,23 +254,73 @@ func TestKernelStageLightDetect(t *testing.T) {
 	}
 }
 
-// TestStatsAccumulate checks that completed runs fold into the
-// process-wide totals scrubd surfaces on /metrics.
+// TestStatsAccumulate checks that a completed run folds into every
+// process-wide total by exactly its Result's counts. The package runs no
+// parallel tests, so nothing else moves the totals in between. The
+// light-detect run makes the probe total move, the profiled on-die run
+// the on-die and profiling totals.
 func TestStatsAccumulate(t *testing.T) {
-	before := Stats()
-	res, err := RunContext(context.Background(), testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := Stats()
-	if got := after.Runs - before.Runs; got < 1 {
-		t.Errorf("Runs advanced by %d, want >= 1", got)
-	}
-	if got := after.Visits - before.Visits; got < res.ScrubVisits {
-		t.Errorf("Visits advanced by %d, want >= %d", got, res.ScrubVisits)
-	}
-	if after.SimSeconds <= before.SimSeconds {
-		t.Error("SimSeconds did not advance")
+	profiled := agedSpec()
+	profiled.OnDie = &ondie.Config{T: 1}
+	profiled.Policy = scrub.ProfiledThreshold(1)
+	specs := map[string]Spec{"combined": specVariants()["combined"], "profiled-ondie": profiled}
+	for name, spec := range specs {
+		before := Stats()
+		res, err := RunContext(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := Stats()
+		want := Totals{
+			Runs:               1,
+			Visits:             res.ScrubVisits,
+			Sweeps:             int64(res.Sweeps),
+			Probes:             res.ScrubProbes,
+			Decodes:            res.ScrubDecodes,
+			WriteBacks:         res.ScrubWriteBacks,
+			Repairs:            res.RepairWrites,
+			DemandWrites:       res.DemandWrites,
+			UEs:                res.UEs,
+			SimSeconds:         res.SimSeconds,
+			OnDieCorrectedBits: res.OnDieCorrectedBits,
+			ProfileRounds:      res.ProfileRounds,
+			ProfileReads:       res.ProfileReads,
+			AtRiskLines:        int64(res.AtRiskLines),
+			AtRiskVisits:       res.AtRiskVisits,
+		}
+		got := Totals{
+			Runs:               after.Runs - before.Runs,
+			CanceledRuns:       after.CanceledRuns - before.CanceledRuns,
+			Visits:             after.Visits - before.Visits,
+			Sweeps:             after.Sweeps - before.Sweeps,
+			Probes:             after.Probes - before.Probes,
+			Decodes:            after.Decodes - before.Decodes,
+			WriteBacks:         after.WriteBacks - before.WriteBacks,
+			Repairs:            after.Repairs - before.Repairs,
+			DemandWrites:       after.DemandWrites - before.DemandWrites,
+			UEs:                after.UEs - before.UEs,
+			SimSeconds:         after.SimSeconds - before.SimSeconds,
+			OnDieCorrectedBits: after.OnDieCorrectedBits - before.OnDieCorrectedBits,
+			ProfileRounds:      after.ProfileRounds - before.ProfileRounds,
+			ProfileReads:       after.ProfileReads - before.ProfileReads,
+			AtRiskLines:        after.AtRiskLines - before.AtRiskLines,
+			AtRiskVisits:       after.AtRiskVisits - before.AtRiskVisits,
+		}
+		// SimSeconds is summed in integer nanoseconds: compare at that
+		// resolution, then exactly.
+		if math.Abs(got.SimSeconds-want.SimSeconds) > 1e-6 {
+			t.Errorf("%s: SimSeconds advanced by %g, want %g", name, got.SimSeconds, want.SimSeconds)
+		}
+		got.SimSeconds = want.SimSeconds
+		if got != want {
+			t.Errorf("%s: totals advanced by\n %+v\nwant\n %+v", name, got, want)
+		}
+		if name == "combined" && want.Probes == 0 {
+			t.Errorf("%s: no probes counted: %+v", name, want)
+		}
+		if name == "profiled-ondie" && (want.OnDieCorrectedBits == 0 || want.ProfileRounds == 0 || want.AtRiskVisits == 0) {
+			t.Errorf("%s: on-die/profiling counters did not move: %+v", name, want)
+		}
 	}
 }
 

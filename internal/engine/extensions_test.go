@@ -23,7 +23,7 @@ func TestSLCFractionValidation(t *testing.T) {
 func TestSLCFractionSuppressesDriftErrors(t *testing.T) {
 	base := testSpec()
 	base.Scheme = ecc.NewSECDEDLine()
-	base.ScrubInterval = 40000
+	base.Interval = 40000
 	base.Horizon = 200000
 	base.Workload.WritesPerLinePerSec = 0
 	run := func(f float64) *Result {
@@ -61,7 +61,7 @@ func TestUEDetectionAttribution(t *testing.T) {
 	cfg := testSpec()
 	cfg.Scheme = ecc.NewSECDEDLine()
 	cfg.Policy = scrub.Basic()
-	cfg.ScrubInterval = 40000
+	cfg.Interval = 40000
 	cfg.Horizon = 200000
 	cfg.Workload.WritesPerLinePerSec = 0
 	cfg.Workload.ReadsPerLinePerSec = 0.01 // reads every ~100 s per line
@@ -76,7 +76,7 @@ func TestUEDetectionAttribution(t *testing.T) {
 		t.Errorf("detection delays recorded for %d of %d UEs", res.UEDetectDelay.N(), res.UEs)
 	}
 	// Latency is bounded by one sweep (drift onset within the interval).
-	if res.UEDetectDelay.Max() > cfg.ScrubInterval*2+1 {
+	if res.UEDetectDelay.Max() > cfg.Interval*2+1 {
 		t.Errorf("detection delay %.0f s exceeds two sweep intervals", res.UEDetectDelay.Max())
 	}
 	if res.UEDetectDelay.Mean() <= 0 {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -87,9 +89,26 @@ type SpanRecorder struct {
 	nanos  [numStages]atomic.Int64
 }
 
-// observe folds one span into the recorder; n is the number of logical
-// operations the span covered (events for StageDemand, 1 elsewhere).
+// start opens a span: it reads the clock, or returns the zero time on a
+// nil recorder, which records nothing.
+func (r *SpanRecorder) start() time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observe folds the span opened at start into the recorder; n is the
+// number of logical operations the span covered (events for StageDemand,
+// 1 elsewhere). A nil recorder ignores it.
 func (r *SpanRecorder) observe(st Stage, start time.Time, n int64) {
+	if r != nil {
+		r.add(st, start, n)
+	}
+}
+
+// add is observe's slow path, split out so observe stays inlinable.
+func (r *SpanRecorder) add(st Stage, start time.Time, n int64) {
 	r.nanos[st].Add(int64(time.Since(start)))
 	r.counts[st].Add(n)
 }
@@ -144,81 +163,47 @@ type Totals struct {
 	AtRiskVisits       int64 `json:"at_risk_visits"`
 }
 
-// totals is the live process-wide aggregate. Updated once per run (a
-// handful of atomic adds), never from the hot loop.
+// totals is the live process-wide aggregate, updated once per run and
+// never from the hot loop. SimSeconds is summed in integer nanoseconds,
+// so the total does not depend on the order concurrent runs finish in.
 var totals struct {
-	runs, canceled                         atomic.Int64
-	visits, sweeps, probes, decodes        atomic.Int64
-	writeBacks, repairs, demandWrites, ues atomic.Int64
-	simNanos                               atomic.Int64 // simulated time in ns to keep it atomic
-
-	ondieCorrected, profileRounds, profileReads atomic.Int64
-	atRiskLines, atRiskVisits                   atomic.Int64
+	sync.Mutex
+	Totals
+	simNanos int64
 }
 
 // recordRun folds one finished run into the process-wide totals.
 func recordRun(res *Result, err error) {
+	totals.Lock()
+	defer totals.Unlock()
 	if err != nil {
-		if errIsCanceled(err) {
-			totals.canceled.Add(1)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			totals.CanceledRuns++
 		}
 		return
 	}
-	totals.runs.Add(1)
-	totals.visits.Add(res.ScrubVisits)
-	totals.sweeps.Add(int64(res.Sweeps))
-	totals.probes.Add(res.ScrubProbes)
-	totals.decodes.Add(res.ScrubDecodes)
-	totals.writeBacks.Add(res.ScrubWriteBacks)
-	totals.repairs.Add(res.RepairWrites)
-	totals.demandWrites.Add(res.DemandWrites)
-	totals.ues.Add(res.UEs)
-	totals.simNanos.Add(int64(res.SimSeconds * 1e9))
-	totals.ondieCorrected.Add(res.OnDieCorrectedBits)
-	totals.profileRounds.Add(res.ProfileRounds)
-	totals.profileReads.Add(res.ProfileReads)
-	totals.atRiskLines.Add(int64(res.AtRiskLines))
-	totals.atRiskVisits.Add(res.AtRiskVisits)
-}
-
-// errIsCanceled reports whether err stems from context cancellation.
-func errIsCanceled(err error) bool {
-	return err != nil && (contextCause(err, context.Canceled) || contextCause(err, context.DeadlineExceeded))
-}
-
-func contextCause(err, target error) bool {
-	for e := err; e != nil; {
-		if e == target {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
+	t := &totals.Totals
+	t.Runs++
+	t.Visits += res.ScrubVisits
+	t.Sweeps += int64(res.Sweeps)
+	t.Probes += res.ScrubProbes
+	t.Decodes += res.ScrubDecodes
+	t.WriteBacks += res.ScrubWriteBacks
+	t.Repairs += res.RepairWrites
+	t.DemandWrites += res.DemandWrites
+	t.UEs += res.UEs
+	totals.simNanos += int64(res.SimSeconds * 1e9)
+	t.SimSeconds = float64(totals.simNanos) / 1e9
+	t.OnDieCorrectedBits += res.OnDieCorrectedBits
+	t.ProfileRounds += res.ProfileRounds
+	t.ProfileReads += res.ProfileReads
+	t.AtRiskLines += int64(res.AtRiskLines)
+	t.AtRiskVisits += res.AtRiskVisits
 }
 
 // Stats snapshots the process-wide engine totals.
 func Stats() Totals {
-	return Totals{
-		Runs:         totals.runs.Load(),
-		CanceledRuns: totals.canceled.Load(),
-		Visits:       totals.visits.Load(),
-		Sweeps:       totals.sweeps.Load(),
-		Probes:       totals.probes.Load(),
-		Decodes:      totals.decodes.Load(),
-		WriteBacks:   totals.writeBacks.Load(),
-		Repairs:      totals.repairs.Load(),
-		DemandWrites: totals.demandWrites.Load(),
-		UEs:          totals.ues.Load(),
-		SimSeconds:   float64(totals.simNanos.Load()) / 1e9,
-
-		OnDieCorrectedBits: totals.ondieCorrected.Load(),
-		ProfileRounds:      totals.profileRounds.Load(),
-		ProfileReads:       totals.profileReads.Load(),
-		AtRiskLines:        totals.atRiskLines.Load(),
-		AtRiskVisits:       totals.atRiskVisits.Load(),
-	}
+	totals.Lock()
+	defer totals.Unlock()
+	return totals.Totals
 }

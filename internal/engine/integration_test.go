@@ -21,7 +21,7 @@ func TestCorrectedBitsMatchAnalyticExpectation(t *testing.T) {
 	cfg.Policy = scrub.AlwaysWrite()
 	cfg.Scheme = ecc.MustBCHLine(8)
 	cfg.TrackK = 16
-	cfg.ScrubInterval = 10000
+	cfg.Interval = 10000
 	cfg.Horizon = 110000 // 11 sweeps
 	cfg.Workload.WritesPerLinePerSec = 0
 	res, err := RunContext(context.Background(), cfg)
@@ -29,7 +29,7 @@ func TestCorrectedBitsMatchAnalyticExpectation(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := pcm.MustModel(cfg.PCM)
-	want := model.ExpectedLineErrors(cfg.Mix, pcm.CellsPerLine, cfg.ScrubInterval)
+	want := model.ExpectedLineErrors(cfg.Mix, pcm.CellsPerLine, cfg.Interval)
 
 	// Ignore the first sweep (line ages ramp 0..T there): steady state is
 	// sweeps 2..N. CorrectedBits counts all sweeps, so subtract an
@@ -59,7 +59,7 @@ func TestUERateMatchesAnalyticTail(t *testing.T) {
 	cfg := testSpec()
 	cfg.Scheme = ecc.NewSECDEDLine()
 	cfg.Policy = scrub.Basic()
-	cfg.ScrubInterval = 30000
+	cfg.Interval = 30000
 	cfg.Horizon = 330000 // 11 sweeps
 	cfg.Workload.WritesPerLinePerSec = 0
 	res, err := RunContext(context.Background(), cfg)
@@ -74,7 +74,7 @@ func TestUERateMatchesAnalyticTail(t *testing.T) {
 	pUE := 0.0
 	prevTail := 1.0
 	for k := 1; k <= 20; k++ {
-		tail := model.LineErrorTailGE(cfg.Mix, pcm.CellsPerLine, k, cfg.ScrubInterval)
+		tail := model.LineErrorTailGE(cfg.Mix, pcm.CellsPerLine, k, cfg.Interval)
 		pk := prevTail - tail
 		prevTail = tail
 		if k >= 2 && pk > 0 {

@@ -40,7 +40,7 @@ func TestShorterIntervalReducesUEs(t *testing.T) {
 	base.Workload.WritesPerLinePerSec = 0
 	run := func(interval float64) int64 {
 		cfg := base
-		cfg.ScrubInterval = interval
+		cfg.Interval = interval
 		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestLongerHorizonScalesActivity(t *testing.T) {
 
 func TestStrongerECCNeverHurts(t *testing.T) {
 	base := testSpec()
-	base.ScrubInterval = 30000
+	base.Interval = 30000
 	base.Horizon = 150000
 	base.Workload.WritesPerLinePerSec = 0
 	run := func(s ecc.Scheme) int64 {

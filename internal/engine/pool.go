@@ -36,7 +36,6 @@ func (s *state) release() {
 	s.inj = nil
 	s.ondie = nil
 	s.prof = nil
-	s.hooks = nil
 	s.spans = nil
 	s.kernCodec = nil // borrowed from the Spec's scheme
 	s.kernCRC = nil

@@ -78,8 +78,7 @@ type state struct {
 	dataBits, checkBits int
 	hasCRC              bool
 
-	// hooks/spans mirror spec.Hooks for branch-cheap nil checks.
-	hooks *Hooks
+	// spans is spec.Hooks.Spans, or nil; its methods are nil-safe.
 	spans *SpanRecorder
 
 	// Trace-mode codec-kernel exercise (all nil/zero outside trace runs).
@@ -169,9 +168,9 @@ func (s *state) init(spec Spec) error {
 	s.k = k
 	s.kw = spec.Wear.K
 	s.lev = lev
-	s.hooks = spec.Hooks
-	if s.hooks != nil {
-		s.spans = s.hooks.Spans
+	s.spans = nil
+	if spec.Hooks != nil {
+		s.spans = spec.Hooks.Spans
 	}
 
 	s.writeTime = growF64(s.writeTime, slots)
@@ -248,10 +247,7 @@ func (s *state) init(spec Spec) error {
 	}
 	// Initialise slots: endurance draws, pre-aging, initial write at t=0.
 	for i := 0; i < slots; i++ {
-		s.weakBuf = s.wearM.SampleWeakest(s.rng, s.weakBuf)
-		copy(s.weakest[i*s.kw:(i+1)*s.kw], s.weakBuf)
-		s.writes[i] = spec.InitialLineWrites
-		s.writeLine(i, 0)
+		s.freshCells(i, spec.InitialLineWrites, 0)
 	}
 	// On-die ECC layer and active-profiling state. Both are RNG-free, so
 	// their presence cannot perturb the run's random stream; nil layer +
@@ -302,6 +298,15 @@ func (s *state) codewordBits() int {
 	return bits
 }
 
+// freshCells gives slot i new cells: fresh endurance draws and a prior
+// write count of writes, then the initial write at time t.
+func (s *state) freshCells(i int, writes uint32, t float64) {
+	s.weakBuf = s.wearM.SampleWeakest(s.rng, s.weakBuf)
+	copy(s.weakest[i*s.kw:(i+1)*s.kw], s.weakBuf)
+	s.writes[i] = writes
+	s.writeLine(i, t)
+}
+
 // writeLine reprograms a line at absolute time t: resets its drift clock,
 // samples fresh crossing times, advances wear, and re-rolls stuck bits.
 // Energy is charged by the caller (demand vs scrub attribution).
@@ -340,39 +345,26 @@ func (s *state) writeLine(i int, t float64) {
 	s.stuckBits[i] = uint8(bits)
 }
 
-// errorBits returns the bit-error count a check at time t observes on line
-// i, and whether the count is saturated (the true count may be higher).
-func (s *state) errorBits(i int, t float64) (int, bool) {
+// drift returns how many of line i's tracked drift crossings have
+// happened by time t.
+func (s *state) drift(i int, t float64) int {
 	base := i * s.k
 	n := int(s.crossCount[i])
-	drift := 0
-	for j := 0; j < n; j++ {
-		if s.crossings[base+j] <= t {
-			drift++
-		} else {
-			break // crossings are sorted ascending
-		}
+	d := 0
+	for d < n && s.crossings[base+d] <= t { // crossings are sorted ascending
+		d++
 	}
-	saturated := drift == s.k
-	return drift + int(s.stuckBits[i]), saturated
+	return d
 }
 
 // attributeDetection estimates, for a UE found by this scrub visit, how
 // long the line had been uncorrectable and whether a demand read would
 // have hit it first. Onset is approximated by the drift crossing that
 // completed the failing pattern (the (capability+1-stuck)-th, clamped to
-// the observed crossings); the read race uses the workload's average
-// per-footprint-line read rate, thinned by the footprint fraction.
-func (s *state) attributeDetection(i int, t float64, capability int) {
-	base := i * s.k
-	drift := 0
-	for j := 0; j < int(s.crossCount[i]); j++ {
-		if s.crossings[base+j] <= t {
-			drift++
-		} else {
-			break
-		}
-	}
+// the drift crossings observed so far); the read race uses the workload's
+// average per-footprint-line read rate, thinned by the footprint
+// fraction.
+func (s *state) attributeDetection(i int, t float64, capability, drift int) {
 	onset := s.writeTime[i]
 	if drift > 0 {
 		d := capability + 1 - int(s.stuckBits[i])
@@ -382,7 +374,7 @@ func (s *state) attributeDetection(i int, t float64, capability int) {
 		if d > drift {
 			d = drift
 		}
-		onset = s.crossings[base+d-1]
+		onset = s.crossings[i*s.k+d-1]
 	}
 	delay := t - onset
 	if delay < 0 {
@@ -475,6 +467,15 @@ func (s *state) kernelDecode(observed int) {
 	s.spans.observe(StageKernel, start, 1)
 }
 
+// visitOutcome is what one scrub visit saw and did.
+type visitOutcome struct {
+	// errBits is the error count visible to the controller: real errors
+	// after the on-die layer, before injected read faults.
+	errBits   int
+	ue        bool
+	wroteBack bool
+}
+
 // visit performs one scrub visit of line i at time t.
 //
 // With fault injection enabled, the visit distinguishes the line's true
@@ -487,84 +488,57 @@ func (s *state) kernelDecode(observed int) {
 // path and the visit is bit-identical to the baseline.
 //
 // Span instrumentation (s.spans) never touches the RNG; with spans nil
-// the extra cost is one predictable branch per section.
-func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
+// each span costs one predictable branch.
+func (s *state) visit(i int, t float64, rs *scrub.RoundStats) visitOutcome {
 	s.res.ScrubVisits++
 	rs.Lines++
-	errBits, _ := s.errorBits(i, t)
+	drift := s.drift(i, t)
+	errBits := drift + int(s.stuckBits[i])
 	if s.ondie != nil {
 		// The chip corrects before the controller looks: everything below
 		// — detection, write-back, UE decisions, corrected-bit accounting
 		// — sees only the post-on-die error count. The transform draws no
 		// randomness, so a disabled layer is byte-identical.
-		var odStart time.Time
-		if s.spans != nil {
-			odStart = time.Now()
-		}
+		start := s.spans.start()
 		errBits = s.ondie.Observe(i, errBits)
-		if s.spans != nil {
-			s.spans.observe(StageOnDie, odStart, 1)
-		}
+		s.spans.observe(StageOnDie, start, 1)
 	}
+	out := visitOutcome{errBits: errBits}
 	observed := errBits
 	if s.inj != nil {
 		observed += s.inj.ReadFlip()
 	}
 
-	var spanStart time.Time
-	switch s.policy.Detection() {
-	case scrub.LightDetect:
+	light := s.policy.Detection() == scrub.LightDetect
+	if light {
 		// Read data + CRC, run the cheap probe (trace mode also times a
 		// real CRC kernel pass under StageKernel).
 		s.kernelProbe()
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
+		start := s.spans.start()
 		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+crcBits)
 		s.acct.CRCCheck(&s.res.ScrubEnergy)
 		s.res.ScrubProbes++
-		if observed == 0 {
-			if s.spans != nil {
-				s.spans.observe(StageProbe, spanStart, 1)
-			}
-			return
+		// A clean line, an aliased checksum, or an injected detector
+		// fault all read clean: errors stay until the next look.
+		clean := observed == 0 || s.rng.Bernoulli(crcMissProb) ||
+			(s.inj != nil && s.inj.ProbeFalseClean())
+		s.spans.observe(StageProbe, start, 1)
+		if clean {
+			return out
 		}
-		if s.rng.Bernoulli(crcMissProb) {
-			if s.spans != nil {
-				s.spans.observe(StageProbe, spanStart, 1)
-			}
-			return // checksum aliased; errors stay until next look
-		}
-		if s.inj != nil && s.inj.ProbeFalseClean() {
-			if s.spans != nil {
-				s.spans.observe(StageProbe, spanStart, 1)
-			}
-			return // injected detector fault: erroneous line reads clean
-		}
-		if s.spans != nil {
-			s.spans.observe(StageProbe, spanStart, 1)
-			spanStart = time.Now()
-		}
-		// Probe fired: fetch the check bits and decode for the count.
-		s.acct.LineRead(&s.res.ScrubEnergy, s.checkBits)
-		s.chargeDecode(&s.res.ScrubEnergy)
-		s.res.ScrubDecodes++
-		if s.spans != nil {
-			s.spans.observe(StageDecode, spanStart, 1)
-		}
-		s.kernelDecode(observed)
-	default: // FullDecode
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
-		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+s.checkBits)
-		s.chargeDecode(&s.res.ScrubEnergy)
-		s.res.ScrubDecodes++
-		if s.spans != nil {
-			s.spans.observe(StageDecode, spanStart, 1)
-		}
-		s.kernelDecode(observed)
 	}
+	// Full decode (always under FullDecode; on probe escalation under
+	// LightDetect): fetch what the probe did not read and decode.
+	start := s.spans.start()
+	if light {
+		s.acct.LineRead(&s.res.ScrubEnergy, s.checkBits)
+	} else {
+		s.acct.LineRead(&s.res.ScrubEnergy, s.dataBits+s.checkBits)
+	}
+	s.chargeDecode(&s.res.ScrubEnergy)
+	s.res.ScrubDecodes++
+	s.spans.observe(StageDecode, start, 1)
+	s.kernelDecode(observed)
 
 	// Stuck ECC check bits corrupt the syndromes the decoder works
 	// against, eroding the line's effective correction margin.
@@ -588,43 +562,81 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 	if observed > 0 && !s.scheme.Correctable(s.rng, observed) {
 		// Uncorrectable: count the UE and repair the line so the excursion
 		// is counted exactly once.
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
+		start := s.spans.start()
 		s.res.UEs++
 		rs.UEs++
 		if s.inj != nil && observed != errBits && errBits <= capability {
 			// Only the injected fault pushed the pattern past the margin.
 			s.inj.NoteInducedUE()
 		}
-		s.attributeDetection(i, t, capability)
+		s.attributeDetection(i, t, capability, drift)
 		s.writeLine(i, t)
 		s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
 		s.res.RepairWrites++
 		s.recordArrayWrite(t)
-		if s.spans != nil {
-			s.spans.observe(StageRepair, spanStart, 1)
-		}
-		return
+		s.spans.observe(StageRepair, start, 1)
+		out.ue = true
+		return out
 	}
 	// Clean lines reach here only under FullDecode (the light probe
 	// returns early); policies with a write threshold >= 1 leave them
 	// alone, while the naive always-write patrol rewrites them too.
 	info := scrub.VisitInfo{ErrBits: observed, Capability: capability, DeadCells: int(s.deadCells[i])}
 	if s.policy.ShouldWriteBack(info) {
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
+		start := s.spans.start()
 		s.res.CorrectedBits += int64(errBits)
 		s.writeLine(i, t)
 		s.acct.LineWrite(&s.res.ScrubEnergy, s.codewordBits())
 		s.res.ScrubWriteBacks++
 		rs.WriteBacks++
 		s.recordArrayWrite(t)
-		if s.spans != nil {
-			s.spans.observe(StageWriteBack, spanStart, 1)
+		s.spans.observe(StageWriteBack, start, 1)
+		out.wroteBack = true
+	}
+	return out
+}
+
+// applyDemand lands the traffic source's writes for [t0, t0+dt) at
+// uniform times inside the window and returns how many landed. Both the
+// sweep loop (ahead of each substep's visits) and Device increments call
+// it.
+func (s *state) applyDemand(t0, dt float64) int {
+	start := s.spans.start()
+	s.eventBuf = s.source.WritesInEpoch(s.rng, t0, dt, s.eventBuf)
+	for _, line := range s.eventBuf {
+		tw := t0 + s.rng.Float64()*dt
+		s.writeLine(s.mapSlot(line), tw)
+		s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
+		s.res.DemandWrites++
+		s.recordArrayWrite(tw)
+	}
+	s.spans.observe(StageDemand, start, int64(len(s.eventBuf)))
+	return len(s.eventBuf)
+}
+
+// isGap reports whether slot is the leveler's live gap, which holds
+// stale data and is never visited.
+func (s *state) isGap(slot int) bool {
+	return s.lev != nil && slot == s.lev.Gap()
+}
+
+// patrolTarget resolves the patrol visit at position pos of the visit
+// order. ok is false when that slot is the gap. Otherwise every
+// period-th visit is re-aimed at an at-risk line when profiling is on:
+// the visit count is unchanged, so biased scheduling spends the same
+// scrub bandwidth.
+func (s *state) patrolTarget(pos int) (slot int, ok bool) {
+	slot = int(s.visitOrder[pos])
+	if s.isGap(slot) {
+		return 0, false
+	}
+	if s.prof != nil {
+		if r := s.prof.redirect(); r >= 0 && !s.isGap(r) {
+			slot = r
+			s.prof.redirected++
 		}
 	}
+	return slot, true
 }
 
 // run executes sweeps until the horizon. Cancellation is checked every
@@ -632,7 +644,7 @@ func (s *state) visit(i int, t float64, rs *scrub.RoundStats) {
 // returns within O(visitStride) visits of ctx ending.
 func (s *state) run(ctx context.Context) error {
 	t := 0.0
-	interval := s.spec.ScrubInterval
+	interval := s.spec.Interval
 	sinceCheck := 0
 	for t+interval <= s.spec.Horizon+1e-9 {
 		// Injected controller faults: a stall stretches this sweep's
@@ -654,34 +666,11 @@ func (s *state) run(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
 			}
-			t0 := t + float64(step)*dt
-			var spanStart time.Time
-			if s.spans != nil {
-				spanStart = time.Now()
-			}
 			// Demand writes land before this substep's visits.
-			s.eventBuf = s.source.WritesInEpoch(s.rng, t0, dt, s.eventBuf)
-			for _, line := range s.eventBuf {
-				tw := t0 + s.rng.Float64()*dt
-				s.writeLine(s.mapSlot(line), tw)
-				s.acct.LineWrite(&s.res.DemandEnergy, s.codewordBits())
-				s.res.DemandWrites++
-				s.recordArrayWrite(tw)
-			}
-			if s.spans != nil {
-				s.spans.observe(StageDemand, spanStart, int64(len(s.eventBuf)))
-			}
-			// Scrub visits for this slice of the patrol order. With
-			// leveling enabled the slot currently serving as the gap
-			// holds stale data and is skipped.
+			s.applyDemand(t+float64(step)*dt, dt)
+			// Scrub visits for this slice of the patrol order.
 			lo := step * perStep
-			hi := lo + perStep
-			if hi > s.slots {
-				hi = s.slots
-			}
-			if hi > cutoff {
-				hi = cutoff // sweep interrupted: suffix never visited
-			}
+			hi := min(lo+perStep, s.slots, cutoff) // past cutoff: sweep interrupted
 			for pos := lo; pos < hi; pos++ {
 				if sinceCheck++; sinceCheck >= visitStride {
 					sinceCheck = 0
@@ -689,44 +678,27 @@ func (s *state) run(ctx context.Context) error {
 						return fmt.Errorf("engine: run canceled at t=%.0fs: %w", t, err)
 					}
 				}
-				slot := int(s.visitOrder[pos])
-				if s.lev != nil && slot == s.lev.Gap() {
-					continue
+				if slot, ok := s.patrolTarget(pos); ok {
+					s.visit(slot, t+sweepDur*float64(pos)/float64(s.slots), &rs)
 				}
-				// Profiling bias: every period-th visit is re-aimed at an
-				// at-risk line instead of the uniform patrol target. The
-				// visit count per sweep is unchanged — biased scheduling
-				// spends the same scrub bandwidth.
-				if s.prof != nil {
-					if r := s.prof.redirect(); r >= 0 && !(s.lev != nil && r == s.lev.Gap()) {
-						slot = r
-						s.prof.redirected++
-					}
-				}
-				tv := t + sweepDur*float64(pos)/float64(s.slots)
-				s.visit(slot, tv, &rs)
 			}
 		}
 		t += sweepDur
 		s.res.Sweeps++
-		var spanStart time.Time
-		if s.spans != nil {
-			spanStart = time.Now()
-		}
+		start := s.spans.start()
+		round := RoundRecord{Start: t - sweepDur, Interval: sweepDur, Stats: rs}
 		if s.spec.RecordRounds {
-			s.res.Rounds = append(s.res.Rounds, RoundRecord{Start: t - sweepDur, Interval: sweepDur, Stats: rs})
+			s.res.Rounds = append(s.res.Rounds, round)
 		}
 		interval = s.policy.NextInterval(interval, rs)
-		if s.spans != nil {
-			s.spans.observe(StageControl, spanStart, 1)
-		}
+		s.spans.observe(StageControl, start, 1)
 		s.maybeProfile(t)
-		if s.hooks != nil {
-			if s.hooks.Round != nil {
-				s.hooks.Round(RoundRecord{Start: t - sweepDur, Interval: sweepDur, Stats: rs})
+		if h := s.spec.Hooks; h != nil {
+			if h.Round != nil {
+				h.Round(round)
 			}
-			if s.hooks.Progress != nil {
-				s.hooks.Progress(s.res.Sweeps, t, s.spec.Horizon)
+			if h.Progress != nil {
+				h.Progress(s.res.Sweeps, t, s.spec.Horizon)
 			}
 		}
 	}

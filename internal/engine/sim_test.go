@@ -21,8 +21,8 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"nil scheme", func(c *Spec) { c.Scheme = nil }},
 		{"nil policy", func(c *Spec) { c.Policy = nil }},
-		{"zero interval", func(c *Spec) { c.ScrubInterval = 0 }},
-		{"horizon < interval", func(c *Spec) { c.Horizon = c.ScrubInterval / 2 }},
+		{"zero interval", func(c *Spec) { c.Interval = 0 }},
+		{"horizon < interval", func(c *Spec) { c.Horizon = c.Interval / 2 }},
 		{"negative substeps", func(c *Spec) { c.Substeps = -1 }},
 		{"huge trackK", func(c *Spec) { c.TrackK = 99 }},
 		{"bad geometry", func(c *Spec) { c.Geometry.RowsPerBank = 0 }},
@@ -73,7 +73,7 @@ func TestRunBasicInvariants(t *testing.T) {
 	if res.SimSeconds != cfg.Horizon {
 		t.Errorf("sim seconds = %g, want %g", res.SimSeconds, cfg.Horizon)
 	}
-	if res.FinalInterval != cfg.ScrubInterval {
+	if res.FinalInterval != cfg.Interval {
 		t.Errorf("fixed policy interval changed: %g", res.FinalInterval)
 	}
 	// Every line was written at least once (initialisation).
@@ -150,7 +150,7 @@ func TestLightDetectSkipsCleanDecodes(t *testing.T) {
 func TestThresholdReducesScrubWrites(t *testing.T) {
 	base := testSpec()
 	// Long interval so errors accumulate and the threshold matters.
-	base.ScrubInterval = 50000
+	base.Interval = 50000
 	base.Horizon = 250000
 	runWith := func(p scrub.Policy) *Result {
 		cfg := base
@@ -171,7 +171,7 @@ func TestThresholdReducesScrubWrites(t *testing.T) {
 
 func TestSECDEDSuffersMoreUEsThanBCH8(t *testing.T) {
 	base := testSpec()
-	base.ScrubInterval = 40000 // ~3 expected drift errors per line per sweep
+	base.Interval = 40000 // ~3 expected drift errors per line per sweep
 	base.Horizon = 200000
 	base.Workload.WritesPerLinePerSec = 0 // pure drift, no demand rewrites
 	runWith := func(s ecc.Scheme) *Result {
@@ -195,7 +195,7 @@ func TestSECDEDSuffersMoreUEsThanBCH8(t *testing.T) {
 
 func TestDemandWritesSuppressDriftErrors(t *testing.T) {
 	base := testSpec()
-	base.ScrubInterval = 40000
+	base.Interval = 40000
 	base.Horizon = 200000
 	base.Scheme = ecc.NewSECDEDLine()
 	runWith := func(rate float64) *Result {
@@ -217,7 +217,7 @@ func TestDemandWritesSuppressDriftErrors(t *testing.T) {
 func TestUEsRepaired(t *testing.T) {
 	cfg := testSpec()
 	cfg.Scheme = ecc.NewSECDEDLine()
-	cfg.ScrubInterval = 40000
+	cfg.Interval = 40000
 	cfg.Horizon = 200000
 	cfg.Workload.WritesPerLinePerSec = 0
 	res, err := RunContext(context.Background(), cfg)
@@ -244,7 +244,7 @@ func TestAdaptiveIntervalMoves(t *testing.T) {
 		WriteThreshold: 1, Adaptive: &a,
 	})
 	cfg.Scheme = ecc.MustBCHLine(8) // wide margin → controller should relax
-	cfg.ScrubInterval = 2000
+	cfg.Interval = 2000
 	cfg.Horizon = 100000
 	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
@@ -252,7 +252,7 @@ func TestAdaptiveIntervalMoves(t *testing.T) {
 	}
 	// At a 2000 s interval with BCH-4, drift pressure is negligible, so
 	// the controller must have grown the interval.
-	if res.FinalInterval <= cfg.ScrubInterval {
+	if res.FinalInterval <= cfg.Interval {
 		t.Errorf("adaptive interval did not grow: %g", res.FinalInterval)
 	}
 }
@@ -269,7 +269,7 @@ func TestRecordRounds(t *testing.T) {
 	}
 	var visits int64
 	for i, rr := range res.Rounds {
-		if rr.Interval != cfg.ScrubInterval {
+		if rr.Interval != cfg.Interval {
 			t.Errorf("round %d interval %g", i, rr.Interval)
 		}
 		visits += rr.Stats.Lines

@@ -49,6 +49,24 @@ type System struct {
 
 // Validate checks the system description.
 func (s *System) Validate() error {
+	if err := s.validateDevice(); err != nil {
+		return err
+	}
+	if err := s.Timing.Validate(); err != nil {
+		return err
+	}
+	if s.Horizon <= 0 {
+		return fmt.Errorf("core: Horizon must be positive")
+	}
+	if s.RiskTarget <= 0 || s.RiskTarget >= 1 {
+		return fmt.Errorf("core: RiskTarget must be in (0,1)")
+	}
+	return nil
+}
+
+// validateDevice checks the parts of the system a run reads: geometry,
+// physics, endurance, energy, fault plan and on-die ECC.
+func (s *System) validateDevice() error {
 	if err := s.Geometry.Validate(); err != nil {
 		return err
 	}
@@ -64,22 +82,10 @@ func (s *System) Validate() error {
 	if err := s.Energy.Validate(); err != nil {
 		return err
 	}
-	if err := s.Timing.Validate(); err != nil {
-		return err
-	}
-	if s.Horizon <= 0 {
-		return fmt.Errorf("core: Horizon must be positive")
-	}
-	if s.RiskTarget <= 0 || s.RiskTarget >= 1 {
-		return fmt.Errorf("core: RiskTarget must be in (0,1)")
-	}
 	if err := s.Fault.Validate(); err != nil {
 		return err
 	}
-	if err := s.OnDie.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return s.OnDie.Validate()
 }
 
 // Mechanism is one point in the scrub design space: an ECC scheme, a
@@ -116,30 +122,7 @@ type Options struct {
 // (system, mechanism, workload, options) description to the engine's
 // resolved Spec. Every runner — core's one-shot, matrix, replicated and
 // shard runners, the scrubd service, the cluster workers — goes through
-// here, so config plumbing semantics cannot drift between execution
-// paths.
+// here.
 func ResolveSpec(sys System, m Mechanism, w trace.Workload, o Options) Spec {
-	return Spec{
-		Geometry:          sys.Geometry,
-		PCM:               sys.PCM,
-		Mix:               sys.Mix,
-		Wear:              sys.Wear,
-		InitialLineWrites: sys.InitialLineWrites,
-		Energy:            sys.Energy,
-		Scheme:            m.Scheme,
-		Policy:            m.Policy,
-		ScrubInterval:     m.Interval,
-		Horizon:           sys.Horizon,
-		Substeps:          sys.Substeps,
-		Workload:          w,
-		Seed:              sys.Seed,
-		Fault:             sys.Fault,
-		OnDie:             sys.OnDie,
-		GapMovePeriod:     o.GapMovePeriod,
-		SLCFraction:       o.SLCFraction,
-		Source:            o.Source,
-		ECPEntries:        o.ECPEntries,
-		RecordRounds:      o.RecordRounds,
-		Hooks:             o.Hooks,
-	}
+	return Spec{System: sys, Mechanism: m, Options: o, Workload: w}
 }

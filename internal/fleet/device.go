@@ -203,9 +203,9 @@ func (d *Device) ApplyPatch(p PatrolPatch) (PatrolConfig, error) {
 func (d *Device) EnqueueScrub(id string, req ScrubRequest) (ScrubView, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if req.First < 0 || req.Count <= 0 || req.First+req.Count > d.dev.Lines() {
-		return ScrubView{}, fmt.Errorf("fleet: scrub range [%d,%d) outside device [0,%d)",
-			req.First, req.First+req.Count, d.dev.Lines())
+	if req.First < 0 || req.Count <= 0 || req.Count > d.dev.Lines()-req.First {
+		return ScrubView{}, fmt.Errorf("fleet: scrub range [%d,+%d) outside device [0,%d)",
+			req.First, req.Count, d.dev.Lines())
 	}
 	j := &scrubJob{
 		id:     id,

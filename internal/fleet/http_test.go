@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -141,5 +142,44 @@ func TestFleetHTTPSurface(t *testing.T) {
 	}
 	if code := doJSON(t, srv, "GET", "/v1/fleet/devices/"+dev.ID, nil, nil); code != http.StatusNotFound {
 		t.Errorf("deleted device status = %d, want 404", code)
+	}
+}
+
+// TestFleetHTTPOverflowingScrubRejected pins that an on-demand scrub
+// whose first+count wraps negative is refused with 400 and leaves the
+// device serving: its session keeps patrolling afterwards.
+func TestFleetHTTPOverflowingScrubRejected(t *testing.T) {
+	m := NewManager(nil)
+	defer m.Shutdown()
+	mux := http.NewServeMux()
+	m.RegisterRoutes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	var dev DeviceView
+	if code := doJSON(t, srv, "POST", "/v1/fleet/devices", testDeviceSpec(42), &dev); code != http.StatusCreated {
+		t.Fatalf("register status = %d, want 201", code)
+	}
+	if code := doJSON(t, srv, "POST", "/v1/fleet/devices/"+dev.ID+"/scrubs",
+		ScrubRequest{First: math.MaxInt, Count: 1}, nil); code != http.StatusBadRequest {
+		t.Fatalf("overflowing scrub status = %d, want 400", code)
+	}
+	var before DeviceView
+	if code := doJSON(t, srv, "GET", "/v1/fleet/devices/"+dev.ID, nil, &before); code != http.StatusOK {
+		t.Fatalf("device status = %d after the rejected scrub", code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var v DeviceView
+		if code := doJSON(t, srv, "GET", "/v1/fleet/devices/"+dev.ID, nil, &v); code != http.StatusOK {
+			t.Fatalf("device status = %d", code)
+		}
+		if v.PatrolChunks > before.PatrolChunks {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("device stopped patrolling: %+v", v)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

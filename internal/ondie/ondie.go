@@ -147,8 +147,10 @@ func lineCheckBits(t int) (int, error) {
 // Strength returns line i's current on-die correction strength in bits.
 func (l *Layer) Strength(i int) int { return int(l.strength[i]) }
 
-// Visible is the deterministic visibility transform: the error count the
-// controller observes when line i holds raw erroneous bits.
+// Observe applies the deterministic visibility transform — the error
+// count the controller observes when line i holds raw erroneous bits —
+// and folds the outcome into the layer's counters. The engine calls it
+// once per scrub/patrol visit.
 //
 //   - raw <= strength: the on-die decoder corrects silently; the
 //     controller sees a clean line.
@@ -157,19 +159,9 @@ func (l *Layer) Strength(i int) int { return int(l.strength[i]) }
 //     that were never wrong. The controller therefore sees the raw burst
 //     plus a worst-case miscorrection penalty of t additional bits.
 //
-// Visible never touches an RNG: the penalty is the deterministic worst
-// case, which keeps disabled-vs-enabled comparisons reproducible and the
-// random stream identical across instrumentation choices.
-func (l *Layer) Visible(i, raw int) int {
-	t := int(l.strength[i])
-	if raw <= t {
-		return 0
-	}
-	return raw + t
-}
-
-// Observe applies the visibility transform and folds the outcome into
-// the layer's counters. The engine calls it once per scrub/patrol visit.
+// The transform never touches an RNG: the penalty is the deterministic
+// worst case, which keeps disabled-vs-enabled comparisons reproducible
+// and the random stream identical across instrumentation choices.
 func (l *Layer) Observe(i, raw int) int {
 	t := int(l.strength[i])
 	if raw <= t {

@@ -48,9 +48,6 @@ func TestVisibilityTransform(t *testing.T) {
 	// worst-case miscorrection penalty of t.
 	cases := []struct{ raw, want int }{{0, 0}, {1, 0}, {2, 0}, {3, 5}, {4, 6}}
 	for _, tc := range cases {
-		if got := l.Visible(0, tc.raw); got != tc.want {
-			t.Errorf("Visible(raw=%d) = %d, want %d", tc.raw, got, tc.want)
-		}
 		if got := l.Observe(1, tc.raw); got != tc.want {
 			t.Errorf("Observe(raw=%d) = %d, want %d", tc.raw, got, tc.want)
 		}

@@ -35,3 +35,16 @@ func TestByNameRejectsUnknown(t *testing.T) {
 		}
 	}
 }
+
+func TestByNameThresholdSemantics(t *testing.T) {
+	p, err := ByName("threshold-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ShouldWriteBack(VisitInfo{ErrBits: 3}) {
+		t.Error("threshold-4 wrote at 3 errors")
+	}
+	if !p.ShouldWriteBack(VisitInfo{ErrBits: 4}) {
+		t.Error("threshold-4 refused at 4 errors")
+	}
+}
