@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/scrub"
 	"repro/internal/service"
 )
 
@@ -33,6 +34,51 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	runErr := fn()
 	w.Close()
 	return string(<-out), runErr
+}
+
+// TestParsePolicy pins that each -policy spelling resolves, through the
+// job spec run builds from its flags, to the expected scrub policy.
+func TestParsePolicy(t *testing.T) {
+	cases := []struct {
+		spec   string
+		name   string
+		detect scrub.Detection
+	}{
+		{"basic", "basic", scrub.FullDecode},
+		{"always", "always-write", scrub.FullDecode},
+		{"light", "basic+light", scrub.LightDetect},
+		{"threshold-3", "threshold-3", scrub.FullDecode},
+		{"combined-5", "combined", scrub.LightDetect},
+	}
+	for _, c := range cases {
+		_, mech, _, err := service.Spec{Mechanism: "combined", Workload: "db-oltp", Policy: c.spec}.Build()
+		if err != nil {
+			t.Fatalf("-policy %q: %v", c.spec, err)
+		}
+		if mech.Policy.Name() != c.name {
+			t.Errorf("-policy %q: policy %q, want %q", c.spec, mech.Policy.Name(), c.name)
+		}
+		if mech.Policy.Detection() != c.detect {
+			t.Errorf("-policy %q: detection = %v, want %v", c.spec, mech.Policy.Detection(), c.detect)
+		}
+	}
+}
+
+// TestParsePolicyRejectsUnknown pins that run refuses a malformed -policy
+// before simulating, and that an empty -policy keeps the suite
+// mechanism's policy instead of failing.
+func TestParsePolicyRejectsUnknown(t *testing.T) {
+	for _, spec := range []string{"bogus", "threshold-", "threshold-x", "combined"} {
+		err := run([]string{"-policy", spec, "-horizon", "7200"})
+		if err == nil || !strings.Contains(err.Error(), "unknown policy") {
+			t.Errorf("run with -policy %q: err = %v, want an unknown-policy error", spec, err)
+		}
+	}
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"-policy", "", "-horizon", "7200", "-json"})
+	}); err != nil {
+		t.Errorf("run with -policy \"\": %v, want the suite mechanism's policy", err)
+	}
 }
 
 // TestSeedZeroSameLocallyAndSubmitted pins that local runs and -submit
