@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build vet test race fuzz check lint bench bench-gate experiments serve smoke-serve smoke-cluster smoke-crash smoke-fleet smoke-ondie smoke-overload vulncheck clean
+.PHONY: all build vet test race fuzz check lint bench bench-gate experiments serve smoke-serve smoke-cluster smoke-cluster-elastic smoke-crash smoke-fleet smoke-ondie smoke-overload vulncheck clean
 
 all: check
 
@@ -32,9 +32,11 @@ fuzz:
 
 check: vet build race
 
-# lint runs go vet always and staticcheck when installed (CI installs
-# it; locally: go install honnef.co/go/tools/cmd/staticcheck@latest).
+# lint runs go vet and a gofmt check always, and staticcheck when
+# installed (CI installs it; locally:
+# go install honnef.co/go/tools/cmd/staticcheck@latest).
 lint: vet
+	@test -z "$$(gofmt -l .)" || { echo "lint: gofmt needed on:"; gofmt -l .; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

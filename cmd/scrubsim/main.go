@@ -147,21 +147,10 @@ func run(args []string) error {
 		AgedWrites:  uint32(*aged),
 	}
 	if plan.Enabled() {
-		spec.Fault = &service.FaultSpec{
-			ReadFlipRate:    plan.ReadFlipRate,
-			ReadFlipMaxBits: plan.ReadFlipMaxBits,
-			SweepSkipRate:   plan.SweepSkipRate,
-			ProbeMissRate:   plan.ProbeMissRate,
-			StuckCheckRate:  plan.StuckCheckRate,
-			StallRate:       plan.StallRate,
-		}
+		spec.Fault = plan
 	}
 	if odCfg.Enabled() {
-		spec.OnDie = &service.OnDieSpec{
-			T:            odCfg.T,
-			WeakT:        odCfg.WeakT,
-			WeakFraction: odCfg.WeakFraction,
-		}
+		spec.OnDie = odCfg
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

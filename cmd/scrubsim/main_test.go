@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/scrub"
 	"repro/internal/service"
 )
@@ -142,7 +143,7 @@ func TestSubmitJobRoundTrip(t *testing.T) {
 		HorizonSec: 20000,
 		Seed:       3,
 		Replicas:   2,
-		Geometry: &service.GeometrySpec{
+		Geometry: &mem.Geometry{
 			Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
 			RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
 		},

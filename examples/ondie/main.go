@@ -10,6 +10,8 @@
 //     rounds build an at-risk set and patrol visits are biased toward it
 //     at exactly equal scrub bandwidth.
 //
+// Run it with:
+//
 //	go run ./examples/ondie
 package main
 

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/trace"
 )
 
 // claimKind labels who is executing a shard claim; it routes the
@@ -83,6 +85,10 @@ type board struct {
 	fp    string
 	spec  service.Spec
 	tasks []*shardTask
+	// sys/mech/wl are the built spec, for shards run on the coordinator.
+	sys  core.System
+	mech core.Mechanism
+	wl   trace.Workload
 	// deadline, when nonzero, is the campaign deadline propagated to
 	// stolen shards.
 	deadline time.Time
@@ -129,6 +135,11 @@ func (b *board) revive(t *shardTask, resp *ShardResponse, payload []byte) {
 func (b *board) register(t *shardTask, kind claimKind, worker string) string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.registerLocked(t, kind, worker)
+}
+
+// registerLocked is register with b.mu held.
+func (b *board) registerLocked(t *shardTask, kind claimKind, worker string) string {
 	cl := &claim{
 		token:  fmt.Sprintf("claim-%s-%d", b.fp[:8], b.c.claimSeq.Add(1)),
 		kind:   kind,
@@ -269,14 +280,8 @@ func (b *board) stealTask(workerURL string) (req *ShardRequest, token string, t 
 		if cand.done || !cand.stealable || len(cand.claims) > 0 {
 			continue
 		}
-		cl := &claim{
-			token:  fmt.Sprintf("claim-%s-%d", b.fp[:8], b.c.claimSeq.Add(1)),
-			kind:   claimSteal,
-			worker: workerURL,
-			start:  time.Now(),
-		}
-		cand.claims[cl.token] = cl
-		return &ShardRequest{Spec: b.spec, First: cand.rg.first, Count: cand.rg.count}, cl.token, cand, true
+		token := b.registerLocked(cand, claimSteal, workerURL)
+		return &ShardRequest{Spec: b.spec, First: cand.rg.first, Count: cand.rg.count}, token, cand, true
 	}
 	return nil, "", nil, false
 }

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/httpx"
+	"repro/internal/mem"
 	"repro/internal/service"
 )
 
@@ -25,7 +27,7 @@ func tinySpec(t *testing.T, replicas int) service.Spec {
 		HorizonSec: 20000,
 		Seed:       7,
 		Replicas:   replicas,
-		Geometry: &service.GeometrySpec{
+		Geometry: &mem.Geometry{
 			Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
 			RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
 		},
@@ -186,7 +188,7 @@ func TestClusterHTTPErrorExcludesWithoutDeath(t *testing.T) {
 	busyMux := http.NewServeMux()
 	busyMux.HandleFunc(ShardPath, func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Retry-After", "1")
-		writeJSONError(rw, http.StatusTooManyRequests, errors.New("cluster: worker at capacity"))
+		httpx.WriteError(rw, http.StatusTooManyRequests, errors.New("cluster: worker at capacity"))
 	})
 	busyMux.HandleFunc(HealthPath, func(rw http.ResponseWriter, r *http.Request) {
 		rw.WriteHeader(http.StatusOK)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/journal"
 	"repro/internal/service"
-	"repro/internal/trace"
 )
 
 // Defaults for shard planning.
@@ -311,6 +310,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 	defer cancelRun()
 
 	b := newBoard(c, fp, spec, plan, cancelRun)
+	b.sys, b.mech, b.wl = sys, mech, wl
 	if dl, ok := ctx.Deadline(); ok {
 		b.deadline = dl
 	}
@@ -353,7 +353,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 		go func(i int, t *shardTask) {
 			defer wg.Done()
 			defer t.cancel()
-			if err := c.runTask(t.ctx, b, t, sys, mech, wl); err != nil {
+			if err := c.runTask(t.ctx, b, t); err != nil {
 				errs[i] = err
 				cancelRun() // a doomed job should stop burning the fleet
 				return
@@ -365,7 +365,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 		specWg.Add(1)
 		go func() {
 			defer specWg.Done()
-			c.speculate(runCtx, b, &specWg, sys, mech, wl)
+			c.speculate(runCtx, b, &specWg)
 		}()
 	}
 	wg.Wait()
@@ -499,73 +499,40 @@ func firstShardError(ctx context.Context, errs []error) error {
 // failover order), a worker that errors is excluded for this shard (and
 // declared dead on transport errors, where the whole node is suspect —
 // an HTTP-level error proves the node is at least serving). Failed
-// attempts feed the worker's circuit breaker and are separated by
-// full-jitter exponential backoff; while the primary is parked the
-// range is open for stealing. When no eligible worker remains the shard
-// runs locally on the coordinator. A task whose winner arrived through
-// another claim (a steal or a speculation) ends the loop with success.
-func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask, sys core.System, mech core.Mechanism, wl trace.Workload) error {
+// attempts are separated by full-jitter exponential backoff; while the
+// primary is parked the range is open for stealing. When no eligible
+// worker remains the shard runs locally on the coordinator. A task whose
+// winner arrived through another claim (a steal or a speculation) ends
+// the loop with success.
+func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask) error {
 	exclude := make(map[string]bool)
 	for attempt := 0; ; attempt++ {
 		if b.taskDone(t) {
 			return nil
 		}
 		id, baseURL, err := c.ms.acquireRanked(ctx, t.key, exclude)
-		if errors.Is(err, ErrNoWorkers) {
-			token := b.register(t, claimLocal, "coordinator")
+		out := c.claim(ctx, b, t, claimPrimary, id, baseURL, err)
+		if out.local {
 			c.shardsLocal.Add(1)
-			sh, err := core.RunShardContext(ctx, sys, mech, wl, t.rg.first, t.rg.count)
-			if err != nil {
-				b.releaseClaim(t, token)
-				if b.taskDone(t) {
-					return nil // cancelled because another claim won
-				}
-				return err
-			}
-			_, _, cerr := b.complete(t, token, NewShardResponse(sh))
-			return cerr
+		} else if out.delivered {
+			c.shardsCompleted.Add(1)
 		}
-		if err != nil {
-			if b.taskDone(t) {
-				return nil
-			}
-			return fmt.Errorf("cluster: shard [%d,+%d): %w", t.rg.first, t.rg.count, err)
+		if out.delivered {
+			return out.err
 		}
-		token := b.register(t, claimPrimary, id)
-		c.shardsDispatched.Add(1)
-		resp, err := postShard(ctx, c.client, baseURL, &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count})
-		if err == nil {
-			if _, err = resp.Shard(t.rg.first, t.rg.count); err == nil {
-				c.ms.ReportSuccess(id)
-				c.ms.release(id)
-				c.shardsCompleted.Add(1)
-				_, _, cerr := b.complete(t, token, resp)
-				return cerr
-			}
-		}
-		b.releaseClaim(t, token)
-		// An HTTP-level refusal proves the transport works: it feeds the
-		// breaker as a success even though this shard moves on. Anything
-		// else (dial/read failure, garbled body) counts against the
-		// breaker and marks the node suspect.
-		var se *StatusError
-		transport := !errors.As(err, &se)
-		if transport {
-			c.ms.ReportFailure(id)
-		} else {
-			c.ms.ReportSuccess(id)
-		}
-		c.ms.release(id)
 		if b.taskDone(t) {
-			return nil
+			return nil // another claim won the range
+		}
+		if out.worker == "" {
+			return out.err // the local run or the acquisition failed
 		}
 		if ctx.Err() != nil {
 			return fmt.Errorf("cluster: shard [%d,+%d): %w", t.rg.first, t.rg.count, ctx.Err())
 		}
-		exclude[id] = true
+		exclude[out.worker] = true
 		c.shardFailovers.Add(1)
-		if transport {
-			c.ms.markDead(id)
+		if out.transport {
+			c.ms.markDead(out.worker)
 		}
 		if err := c.backoff.Sleep(ctx, attempt); err != nil {
 			if b.taskDone(t) {
@@ -576,9 +543,70 @@ func (c *Coordinator) runTask(ctx context.Context, b *board, t *shardTask, sys c
 	}
 }
 
+// claimOutcome is how one claim attempt on a shard task ended.
+type claimOutcome struct {
+	local     bool   // no worker was eligible: the shard ran on the coordinator
+	worker    string // the member dispatched to ("" when none was acquired)
+	delivered bool   // a result reached the board; err is then complete's
+	transport bool   // the dispatch failed below HTTP: the node is suspect
+	err       error
+}
+
+// claim makes one execution attempt on t under a claim of kind, given
+// the caller's worker acquisition (id, baseURL, acqErr). With no
+// eligible worker (ErrNoWorkers) the shard runs on the coordinator, a
+// primary then claiming as claimLocal. Otherwise it registers the
+// claim, posts the shard, checks the reply's range, feeds the worker's
+// breaker and releases its slot. A result goes to the board; a failed
+// attempt withdraws its claim, re-opening the range for stealing.
+func (c *Coordinator) claim(ctx context.Context, b *board, t *shardTask, kind claimKind, id, baseURL string, acqErr error) claimOutcome {
+	if errors.Is(acqErr, ErrNoWorkers) {
+		if kind == claimPrimary {
+			kind = claimLocal
+		}
+		token := b.register(t, kind, "coordinator")
+		sh, err := core.RunShardContext(ctx, b.sys, b.mech, b.wl, t.rg.first, t.rg.count)
+		if err != nil {
+			b.releaseClaim(t, token)
+			return claimOutcome{local: true, err: err}
+		}
+		_, _, err = b.complete(t, token, NewShardResponse(sh))
+		return claimOutcome{local: true, delivered: true, err: err}
+	}
+	if acqErr != nil {
+		return claimOutcome{err: fmt.Errorf("cluster: shard [%d,+%d): %w", t.rg.first, t.rg.count, acqErr)}
+	}
+	token := b.register(t, kind, id)
+	c.shardsDispatched.Add(1)
+	resp, err := postShard(ctx, c.client, baseURL, &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count})
+	if err == nil {
+		_, err = resp.Shard(t.rg.first, t.rg.count)
+	}
+	if err != nil {
+		b.releaseClaim(t, token)
+	}
+	// An HTTP-level refusal proves the transport works: it feeds the
+	// breaker as a success even though this shard moves on. Anything else
+	// (dial/read failure, garbled body) counts against the breaker and
+	// marks the node suspect.
+	var se *StatusError
+	transport := err != nil && !errors.As(err, &se)
+	if transport {
+		c.ms.ReportFailure(id)
+	} else {
+		c.ms.ReportSuccess(id)
+	}
+	c.ms.release(id)
+	if err != nil {
+		return claimOutcome{worker: id, transport: transport, err: err}
+	}
+	_, _, err = b.complete(t, token, resp)
+	return claimOutcome{worker: id, delivered: true, err: err}
+}
+
 // speculate watches a campaign for stragglers and re-dispatches each at
 // most once. The monitor exits when the campaign's context ends.
-func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.WaitGroup, sys core.System, mech core.Mechanism, wl trace.Workload) {
+func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.WaitGroup) {
 	ticker := time.NewTicker(c.spec.Interval)
 	defer ticker.Stop()
 	for {
@@ -591,7 +619,7 @@ func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.Wait
 				specWg.Add(1)
 				go func(t *shardTask) {
 					defer specWg.Done()
-					c.speculateTask(t.ctx, b, t, sys, mech, wl)
+					c.speculateTask(t.ctx, b, t)
 				}(t)
 			}
 		}
@@ -603,58 +631,18 @@ func (c *Coordinator) speculate(ctx context.Context, b *board, specWg *sync.Wait
 // ring owner) racing the primary. Failures simply abandon the claim —
 // the primary still owns the range, so a speculation can only ever
 // help.
-func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask, sys core.System, mech core.Mechanism, wl trace.Workload) {
+func (c *Coordinator) speculateTask(ctx context.Context, b *board, t *shardTask) {
 	if b.taskDone(t) {
 		return
 	}
 	id, baseURL, err := c.ms.acquire(ctx, nil)
-	if errors.Is(err, ErrNoWorkers) {
-		token := b.register(t, claimSpeculative, "coordinator")
-		sh, err := core.RunShardContext(ctx, sys, mech, wl, t.rg.first, t.rg.count)
-		if err != nil {
-			b.releaseClaim(t, token)
-			return
-		}
-		_, _, _ = b.complete(t, token, NewShardResponse(sh))
-		return
-	}
-	if err != nil {
-		return
-	}
-	token := b.register(t, claimSpeculative, id)
-	c.shardsDispatched.Add(1)
-	resp, err := postShard(ctx, c.client, baseURL, &ShardRequest{Spec: b.spec, First: t.rg.first, Count: t.rg.count})
-	if err == nil {
-		if _, verr := resp.Shard(t.rg.first, t.rg.count); verr == nil {
-			c.ms.ReportSuccess(id)
-			c.ms.release(id)
-			_, _, _ = b.complete(t, token, resp)
-			return
-		}
-	}
-	b.releaseClaim(t, token)
-	var se *StatusError
-	if !errors.As(err, &se) {
-		c.ms.ReportFailure(id)
-	} else {
-		c.ms.ReportSuccess(id)
-	}
-	c.ms.release(id)
+	c.claim(ctx, b, t, claimSpeculative, id, baseURL, err)
 }
 
 // maxClaimBodyBytes caps the claims endpoint's body: a stolen shard's
 // result carries every replica payload, so it gets the journal's
 // generous 64 MiB bound instead of the 1 MiB control-plane default.
 const maxClaimBodyBytes = 64 << 20
-
-// decodeStatus maps a body-decode failure onto its status: 413 when the
-// body blew the size cap, 400 otherwise.
-func decodeStatus(err error) int {
-	if httpx.TooLarge(err) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
 
 // Handler serves the coordinator's cluster endpoints: worker join, the
 // membership listing, the consistent-hash ring, and the work-stealing
@@ -665,27 +653,24 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST "+JoinPath, func(rw http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
 		if err := httpx.DecodeJSON(rw, r, 0, true, &req); err != nil {
-			writeJSONError(rw, decodeStatus(err), fmt.Errorf("cluster: decode join request: %w", err))
+			httpx.WriteError(rw, httpx.DecodeStatus(err), fmt.Errorf("cluster: decode join request: %w", err))
 			return
 		}
 		m, err := c.ms.Join(req.URL)
 		if err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
+			httpx.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(m)
+		httpx.WriteJSON(rw, http.StatusOK, m)
 	})
 	mux.HandleFunc("GET "+WorkersPath, func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(struct {
+		httpx.WriteJSON(rw, http.StatusOK, struct {
 			Workers []Member `json:"workers"`
 		}{c.ms.List()})
 	})
 	mux.HandleFunc("GET "+RingPath, func(rw http.ResponseWriter, r *http.Request) {
 		ring := c.ms.Ring()
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(struct {
+		httpx.WriteJSON(rw, http.StatusOK, struct {
 			Version uint64   `json:"version"`
 			Members []string `json:"members"`
 		}{ring.Version(), ring.Members()})
@@ -693,7 +678,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST "+StealPath, func(rw http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
 		if err := httpx.DecodeJSON(rw, r, 0, true, &req); err != nil {
-			writeJSONError(rw, decodeStatus(err), fmt.Errorf("cluster: decode steal request: %w", err))
+			httpx.WriteError(rw, httpx.DecodeStatus(err), fmt.Errorf("cluster: decode steal request: %w", err))
 			return
 		}
 		sr, ok := c.stealPending(req.URL)
@@ -701,8 +686,7 @@ func (c *Coordinator) Handler() http.Handler {
 			rw.WriteHeader(http.StatusNoContent)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(sr)
+		httpx.WriteJSON(rw, http.StatusOK, sr)
 	})
 	mux.HandleFunc("POST "+ClaimsPath, func(rw http.ResponseWriter, r *http.Request) {
 		// Claim results carry a full ShardResponse — per-replica payloads
@@ -710,16 +694,15 @@ func (c *Coordinator) Handler() http.Handler {
 		// larger cap than the control-plane default.
 		var req ClaimResult
 		if err := httpx.DecodeJSON(rw, r, maxClaimBodyBytes, true, &req); err != nil {
-			writeJSONError(rw, decodeStatus(err), fmt.Errorf("cluster: decode claim result: %w", err))
+			httpx.WriteError(rw, httpx.DecodeStatus(err), fmt.Errorf("cluster: decode claim result: %w", err))
 			return
 		}
 		if req.Token == "" || req.Response == nil {
-			writeJSONError(rw, http.StatusBadRequest, errors.New("cluster: claim result needs token and response"))
+			httpx.WriteError(rw, http.StatusBadRequest, errors.New("cluster: claim result needs token and response"))
 			return
 		}
 		ack := c.deliverClaim(req.Token, req.Response)
-		rw.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(rw).Encode(ack)
+		httpx.WriteJSON(rw, http.StatusOK, ack)
 	})
 	return mux
 }

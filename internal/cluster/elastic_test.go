@@ -575,6 +575,87 @@ func TestSpeculativeDuplicateStorm(t *testing.T) {
 	}
 }
 
+// claimCounters is the slice of the snapshot the claim routine moves.
+type claimCounters struct {
+	launched, wins, dispatched, completed, local int64
+}
+
+func claimCountersOf(s CoordinatorSnapshot) claimCounters {
+	return claimCounters{s.SpeculationsLaunched, s.SpeculativeWins, s.ShardsDispatched, s.ShardsCompleted, s.ShardsLocal}
+}
+
+// TestSpeculativeWinCounters pins the counters of one speculative win:
+// a lone worker hangs the first of the campaign's two shards and serves
+// the other, the monitor re-dispatches the straggler to the same worker,
+// and that claim wins. Both primaries and the speculation count as
+// dispatches, but only the primary that finished counts as completed.
+func TestSpeculativeWinCounters(t *testing.T) {
+	spec := tinySpec(t, 8)
+	want := standaloneJSON(t, spec)
+
+	ms := NewMembership(2)
+	real := NewWorker(2)
+	var first atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc(ShardPath, func(rw http.ResponseWriter, r *http.Request) {
+		if first.CompareAndSwap(false, true) {
+			io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+			panic(http.ErrAbortHandler)
+		}
+		real.ShardHandler().ServeHTTP(rw, r)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	mustJoin(t, ms, srv.URL)
+
+	c := NewCoordinator(Config{
+		Members:             ms,
+		SpeculationFactor:   1.0,
+		SpeculationMinWait:  50 * time.Millisecond,
+		SpeculationInterval: 10 * time.Millisecond,
+	})
+	res, err := c.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run with straggler: %v", err)
+	}
+	if got := resultJSON(t, res); got != want {
+		t.Errorf("speculated result differs from standalone:\n got %s\nwant %s", got, want)
+	}
+	if got, want := claimCountersOf(c.Snapshot()), (claimCounters{launched: 1, wins: 1, dispatched: 3, completed: 1}); got != want {
+		t.Errorf("counters = %+v, want %+v", got, want)
+	}
+}
+
+// TestLocalFallbackCounters pins the counters of one local fallback: the
+// only worker dies after joining, the one-shard campaign's primary
+// dispatch fails over, and the shard runs on the coordinator.
+func TestLocalFallbackCounters(t *testing.T) {
+	spec := tinySpec(t, 1)
+	want := standaloneJSON(t, spec)
+
+	ms := NewMembership(2)
+	srv := httptest.NewServer(http.NotFoundHandler())
+	mustJoin(t, ms, srv.URL)
+	srv.Close()
+
+	c := NewCoordinator(Config{Members: ms})
+	res, err := c.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("run after worker death: %v", err)
+	}
+	if got := resultJSON(t, res); got != want {
+		t.Errorf("result differs from standalone:\n got %s\nwant %s", got, want)
+	}
+	snap := c.Snapshot()
+	if got, want := claimCountersOf(snap), (claimCounters{dispatched: 1, local: 1}); got != want {
+		t.Errorf("counters = %+v, want %+v", got, want)
+	}
+	if snap.ShardFailovers != 1 {
+		t.Errorf("shard failovers = %d, want 1", snap.ShardFailovers)
+	}
+}
+
 // --- Cache gossip ---
 
 // TestGossipAnswersWholeJob caches a result on a standalone node, lets

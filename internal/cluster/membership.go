@@ -179,16 +179,6 @@ func (ms *Membership) RingVersion() uint64 {
 	return ms.epoch
 }
 
-// URLFor resolves a member ID to its base URL ("" when unknown).
-func (ms *Membership) URLFor(id string) string {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if m, ok := ms.members[id]; ok {
-		return m.url
-	}
-	return ""
-}
-
 func (m *member) view() Member {
 	return Member{
 		ID: m.id, URL: m.url, Alive: m.alive, InFlight: m.inFlight,

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -52,9 +51,6 @@ func NewWorker(maxInFlight int) *Worker {
 	return &Worker{max: maxInFlight, sem: make(chan struct{}, maxInFlight)}
 }
 
-// MaxInFlight returns the concurrent shard bound.
-func (w *Worker) MaxInFlight() int { return w.max }
-
 // ShardHandler serves POST /v1/cluster/shards: decode a ShardRequest,
 // run the replica range through the resilient shard runner, and return
 // the full per-replica results. Cancelling the request (the coordinator
@@ -62,26 +58,26 @@ func (w *Worker) MaxInFlight() int { return w.max }
 func (w *Worker) ShardHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeJSONError(rw, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
+			httpx.WriteError(rw, http.StatusMethodNotAllowed, fmt.Errorf("cluster: %s not allowed", r.Method))
 			return
 		}
 		var req ShardRequest
 		if err := httpx.DecodeJSON(rw, r, w.MaxBodyBytes, true, &req); err != nil {
 			if httpx.TooLarge(err) {
-				writeJSONError(rw, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: shard request: %w", err))
+				httpx.WriteError(rw, http.StatusRequestEntityTooLarge, fmt.Errorf("cluster: shard request: %w", err))
 				return
 			}
-			writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode shard request: %w", err))
+			httpx.WriteError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode shard request: %w", err))
 			return
 		}
 		norm, err := req.Spec.Normalized()
 		if err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
+			httpx.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
 		req.Spec = norm
 		if err := req.Validate(); err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
+			httpx.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
 		select {
@@ -91,7 +87,7 @@ func (w *Worker) ShardHandler() http.Handler {
 			// The priority rides the spec across the wire: a rejected
 			// interactive shard is invited back sooner than a batch one.
 			service.SetRetryAfterClass(rw.Header(), len(w.sem), w.max, norm.Class())
-			writeJSONError(rw, http.StatusTooManyRequests,
+			httpx.WriteError(rw, http.StatusTooManyRequests,
 				fmt.Errorf("cluster: worker at capacity (%d shards in flight)", w.max))
 			return
 		}
@@ -99,7 +95,7 @@ func (w *Worker) ShardHandler() http.Handler {
 
 		if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
 			if _, err := time.Parse(time.RFC3339Nano, hdr); err != nil {
-				writeJSONError(rw, http.StatusBadRequest,
+				httpx.WriteError(rw, http.StatusBadRequest,
 					fmt.Errorf("cluster: bad %s header %q: %v", DeadlineHeader, hdr, err))
 				return
 			}
@@ -108,12 +104,10 @@ func (w *Worker) ShardHandler() http.Handler {
 		resp, err := w.execute(r.Context(), &req)
 		if err != nil {
 			w.failed.Add(1)
-			writeJSONError(rw, http.StatusInternalServerError, err)
+			httpx.WriteError(rw, http.StatusInternalServerError, err)
 			return
 		}
-		rw.Header().Set("Content-Type", "application/json")
-		rw.WriteHeader(http.StatusOK)
-		_ = json.NewEncoder(rw).Encode(resp)
+		httpx.WriteJSON(rw, http.StatusOK, resp)
 	})
 }
 
@@ -208,12 +202,4 @@ func (w *Worker) WritePrometheus(out io.Writer) error {
 		httpx.Counter("scrubd_cluster_worker_steals_executed_total", "Stolen shards executed and delivered.", float64(s.StealsExecuted)),
 		httpx.Counter("scrubd_cluster_worker_steals_won_total", "Stolen-shard deliveries that won their range.", float64(s.StealsWon)),
 	})
-}
-
-func writeJSONError(rw http.ResponseWriter, status int, err error) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	_ = json.NewEncoder(rw).Encode(struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

@@ -22,12 +22,6 @@ import "math/bits"
 // GetBit returns bit i of buf (LSB-first packing within each byte).
 func GetBit(buf []byte, i int) byte { return (buf[i>>3] >> uint(i&7)) & 1 }
 
-// SetBit sets bit i of buf.
-func SetBit(buf []byte, i int) { buf[i>>3] |= 1 << uint(i&7) }
-
-// FlipBit inverts bit i of buf.
-func FlipBit(buf []byte, i int) { buf[i>>3] ^= 1 << uint(i&7) }
-
 // Parity returns the XOR-fold (0 or 1) of the first n bits of buf,
 // reduced 64 bits at a time with a popcount tail.
 func Parity(buf []byte, n int) byte {

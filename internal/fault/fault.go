@@ -56,31 +56,31 @@ const (
 type Plan struct {
 	// ReadFlipRate is the per-visit probability that the scrub read
 	// observes phantom error bits. [0,1]
-	ReadFlipRate float64
+	ReadFlipRate float64 `json:"read_flip_rate,omitempty"`
 	// ReadFlipMaxBits bounds the phantom bits of one faulty read; a
 	// faulty read observes Uniform{1..ReadFlipMaxBits} extra bits.
 	// 0 selects DefaultReadFlipMaxBits.
-	ReadFlipMaxBits int
+	ReadFlipMaxBits int `json:"read_flip_max_bits,omitempty"`
 	// SweepSkipRate is the per-sweep probability that the sweep is
 	// interrupted, skipping a uniformly random suffix of the patrol. [0,1]
-	SweepSkipRate float64
+	SweepSkipRate float64 `json:"sweep_skip_rate,omitempty"`
 	// ProbeMissRate is the additional per-probe false-clean probability of
 	// the lightweight detector, on top of its intrinsic aliasing. [0,1]
-	ProbeMissRate float64
+	ProbeMissRate float64 `json:"probe_miss_rate,omitempty"`
 	// StuckCheckRate is the per-line probability that the line's ECC
 	// check-bit storage is stuck for the whole run. [0,1]
-	StuckCheckRate float64
+	StuckCheckRate float64 `json:"stuck_check_rate,omitempty"`
 	// StuckCheckBits is the correction capability lost on a stuck-check
 	// line. 0 selects DefaultStuckCheckBits.
-	StuckCheckBits int
+	StuckCheckBits int `json:"stuck_check_bits,omitempty"`
 	// StallRate is the per-sweep probability of a controller stall. [0,1]
-	StallRate float64
+	StallRate float64 `json:"stall_rate,omitempty"`
 	// StallFactor multiplies a stalled sweep's interval; must be >= 1
 	// when set. 0 selects DefaultStallFactor.
-	StallFactor float64
+	StallFactor float64 `json:"stall_factor,omitempty"`
 	// Seed offsets the injector's RNG streams so fault sequences can be
 	// varied independently of the simulation seed (0 is a valid offset).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // Enabled reports whether any fault site has a non-zero rate.

@@ -83,17 +83,26 @@ func (m *Manager) Register(spec DeviceSpec) (DeviceView, error) {
 			return DeviceView{}, err
 		}
 	}
+	if err := m.install(d); err != nil {
+		return DeviceView{}, err
+	}
+	return d.View(), nil
+}
+
+// install publishes a built device and starts its patrol session: the
+// one path by which Register and Recover bring a device live.
+func (m *Manager) install(d *Device) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return DeviceView{}, ErrClosed
+		return ErrClosed
 	}
-	m.devices[id] = d
-	m.order = append(m.order, id)
+	m.devices[d.ID] = d
+	m.order = append(m.order, d.ID)
 	m.mu.Unlock()
 	m.registered.Add(1)
 	m.startSession(d)
-	return d.View(), nil
+	return nil
 }
 
 // Recover re-registers every device the previous incarnation journaled:
@@ -134,16 +143,9 @@ func (m *Manager) Recover(rec *journal.Recovery) error {
 		if err != nil {
 			continue
 		}
-		m.mu.Lock()
-		if m.closed {
-			m.mu.Unlock()
-			return ErrClosed
+		if err := m.install(d); err != nil {
+			return err
 		}
-		m.devices[fd.ID] = d
-		m.order = append(m.order, fd.ID)
-		m.mu.Unlock()
-		m.registered.Add(1)
-		m.startSession(d)
 	}
 	return nil
 }

@@ -11,13 +11,13 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/journal"
-	"repro/internal/service"
+	"repro/internal/mem"
 )
 
 // tinyGeometry keeps fleet devices small enough that drift errors appear
 // within a few simulated hours (matching the engine device tests).
-func tinyGeometry() *service.GeometrySpec {
-	return &service.GeometrySpec{
+func tinyGeometry() *mem.Geometry {
+	return &mem.Geometry{
 		Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
 		RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -27,32 +26,32 @@ func (m *Manager) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/fleet/devices", func(w http.ResponseWriter, r *http.Request) {
 		var spec DeviceSpec
 		if err := httpx.DecodeJSON(w, r, m.MaxBodyBytes, true, &spec); err != nil {
-			httpError(w, decodeStatus(err), err)
+			httpx.WriteError(w, httpx.DecodeStatus(err), err)
 			return
 		}
 		v, err := m.Register(spec)
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusBadRequest), err)
+			httpx.WriteError(w, statusFor(err, http.StatusBadRequest), err)
 			return
 		}
-		httpJSON(w, http.StatusCreated, v)
+		httpx.WriteJSON(w, http.StatusCreated, v)
 	})
 	mux.HandleFunc("GET /v1/fleet/devices", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, struct {
+		httpx.WriteJSON(w, http.StatusOK, struct {
 			Devices []DeviceView `json:"devices"`
 		}{m.List()})
 	})
 	mux.HandleFunc("GET /v1/fleet/devices/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := m.Get(r.PathValue("id"))
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusNotFound), err)
+			httpx.WriteError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, v)
+		httpx.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("DELETE /v1/fleet/devices/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := m.Remove(r.PathValue("id")); err != nil {
-			httpError(w, statusFor(err, http.StatusInternalServerError), err)
+			httpx.WriteError(w, statusFor(err, http.StatusInternalServerError), err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -60,93 +59,84 @@ func (m *Manager) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/fleet/devices/{id}/patrol", func(w http.ResponseWriter, r *http.Request) {
 		d, err := m.device(r.PathValue("id"))
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusNotFound), err)
+			httpx.WriteError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, d.Patrol())
+		httpx.WriteJSON(w, http.StatusOK, d.Patrol())
 	})
 	mux.HandleFunc("PATCH /v1/fleet/devices/{id}/patrol", func(w http.ResponseWriter, r *http.Request) {
 		var p PatrolPatch
 		if err := httpx.DecodeJSON(w, r, m.MaxBodyBytes, true, &p); err != nil {
-			httpError(w, decodeStatus(err), err)
+			httpx.WriteError(w, httpx.DecodeStatus(err), err)
 			return
 		}
 		cfg, err := m.Patch(r.PathValue("id"), p)
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusBadRequest), err)
+			httpx.WriteError(w, statusFor(err, http.StatusBadRequest), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, cfg)
+		httpx.WriteJSON(w, http.StatusOK, cfg)
 	})
 	mux.HandleFunc("POST /v1/fleet/devices/{id}/scrubs", func(w http.ResponseWriter, r *http.Request) {
 		var req ScrubRequest
 		if err := httpx.DecodeJSON(w, r, m.MaxBodyBytes, true, &req); err != nil {
-			httpError(w, decodeStatus(err), err)
+			httpx.WriteError(w, httpx.DecodeStatus(err), err)
 			return
 		}
 		v, err := m.EnqueueScrub(r.PathValue("id"), req)
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusBadRequest), err)
+			httpx.WriteError(w, statusFor(err, http.StatusBadRequest), err)
 			return
 		}
-		httpJSON(w, http.StatusAccepted, v)
+		httpx.WriteJSON(w, http.StatusAccepted, v)
 	})
 	mux.HandleFunc("GET /v1/fleet/devices/{id}/scrubs", func(w http.ResponseWriter, r *http.Request) {
 		vs, err := m.Scrubs(r.PathValue("id"))
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusNotFound), err)
+			httpx.WriteError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, struct {
+		httpx.WriteJSON(w, http.StatusOK, struct {
 			Scrubs []ScrubView `json:"scrubs"`
 		}{vs})
 	})
 	mux.HandleFunc("GET /v1/fleet/devices/{id}/scrubs/{sid}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := m.Scrub(r.PathValue("id"), r.PathValue("sid"))
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusNotFound), err)
+			httpx.WriteError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, v)
+		httpx.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET /v1/fleet/devices/{id}/telemetry", func(w http.ResponseWriter, r *http.Request) {
 		limit := 0
 		if s := r.URL.Query().Get("limit"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n < 0 {
-				httpError(w, http.StatusBadRequest, errors.New("fleet: limit must be a non-negative integer"))
+				httpx.WriteError(w, http.StatusBadRequest, errors.New("fleet: limit must be a non-negative integer"))
 				return
 			}
 			limit = n
 		}
 		lt, err := m.Telemetry(r.PathValue("id"), limit)
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusNotFound), err)
+			httpx.WriteError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, struct {
+		httpx.WriteJSON(w, http.StatusOK, struct {
 			Lines []LineTelemetry `json:"lines"`
 		}{lt})
 	})
 	mux.HandleFunc("GET /v1/fleet/devices/{id}/repairs", func(w http.ResponseWriter, r *http.Request) {
 		evs, err := m.Repairs(r.PathValue("id"))
 		if err != nil {
-			httpError(w, statusFor(err, http.StatusNotFound), err)
+			httpx.WriteError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		httpJSON(w, http.StatusOK, struct {
+		httpx.WriteJSON(w, http.StatusOK, struct {
 			Repairs []RepairEvent `json:"repairs"`
 		}{evs})
 	})
-}
-
-// decodeStatus maps a body-decode failure onto its status: 413 when the
-// body blew the size cap, 400 otherwise.
-func decodeStatus(err error) int {
-	if httpx.TooLarge(err) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // statusFor maps fleet sentinel errors onto HTTP statuses.
@@ -158,16 +148,4 @@ func statusFor(err error, fallback int) int {
 		return http.StatusServiceUnavailable
 	}
 	return fallback
-}
-
-func httpJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	httpJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
 }

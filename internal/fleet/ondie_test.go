@@ -8,14 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/service"
+	"repro/internal/ondie"
 )
 
 // ondieDeviceSpec is testDeviceSpec with an on-die ECC layer and enough
 // pre-aging that profiling rounds find a real at-risk population.
 func ondieDeviceSpec(seed uint64) DeviceSpec {
 	ds := testDeviceSpec(seed)
-	ds.OnDie = &service.OnDieSpec{T: 1}
+	ds.OnDie = &ondie.Config{T: 1}
 	ds.AgedWrites = 20_000_000
 	return ds
 }

@@ -18,6 +18,9 @@ import (
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/ondie"
 	"repro/internal/scrub"
 	"repro/internal/service"
 )
@@ -166,12 +169,12 @@ type DeviceSpec struct {
 	// AgedWrites pre-ages every line by this many writes.
 	AgedWrites uint32 `json:"aged_writes,omitempty"`
 	// Geometry optionally shrinks or grows the device.
-	Geometry *service.GeometrySpec `json:"geometry,omitempty"`
+	Geometry *mem.Geometry `json:"geometry,omitempty"`
 	// Fault optionally injects scrub-path controller faults.
-	Fault *service.FaultSpec `json:"fault,omitempty"`
+	Fault *fault.Plan `json:"fault,omitempty"`
 	// OnDie optionally puts an on-die ECC layer under the controller
 	// codec (hidden-error regime; see internal/ondie).
-	OnDie *service.OnDieSpec `json:"ondie,omitempty"`
+	OnDie *ondie.Config `json:"ondie,omitempty"`
 	// Patrol is the initial patrol configuration.
 	Patrol *PatrolConfig `json:"patrol,omitempty"`
 	// Repair tunes the telemetry-driven repair engine.

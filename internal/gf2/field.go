@@ -123,19 +123,12 @@ func (f *Field) Mul(a, b uint32) uint32 {
 	return f.expTbl[f.logTbl[a]+f.logTbl[b]]
 }
 
-// MulAlphaLog returns a·α^lg for non-zero a and lg in [0, N). It skips
-// the zero checks of Mul — the doubled antilog table absorbs the index
-// wrap — and exists for kernel inner loops (internal/codekit) whose
-// operands are provably non-zero.
-func (f *Field) MulAlphaLog(a uint32, lg uint32) uint32 {
-	return f.expTbl[f.logTbl[a]+lg]
-}
-
 // LogExpTables exposes the field's log table and doubled antilog table
 // for kernel inner loops (internal/codekit) that keep both slices in
 // registers instead of chasing the Field pointer per multiply. Both
 // slices are read-only; for non-zero a and lg in [0, N),
-// expTbl[logTbl[a]+lg] = a·α^lg (the MulAlphaLog identity).
+// expTbl[logTbl[a]+lg] = a·α^lg, with no zero check needed: the
+// doubled antilog table absorbs the index wrap.
 func (f *Field) LogExpTables() (logTbl, expTbl []uint32) {
 	return f.logTbl, f.expTbl
 }

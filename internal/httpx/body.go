@@ -1,6 +1,6 @@
 // Package httpx holds the small HTTP helpers every daemon surface in
-// this repo shares: request-body capping, JSON decoding, and the
-// Prometheus text writer behind /metrics.
+// this repo shares: request-body capping, JSON decoding, JSON responses,
+// and the Prometheus text writer behind /metrics.
 // A scrub daemon's ingest path faces untrusted writers; an unbounded
 // body read is an invitation to exhaust the node's memory long before
 // admission control gets a say.
@@ -37,4 +37,27 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, strict bool
 func TooLarge(err error) bool {
 	var mbe *http.MaxBytesError
 	return errors.As(err, &mbe)
+}
+
+// DecodeStatus maps a DecodeJSON failure onto its status: 413 when the
+// body blew the size cap, 400 otherwise.
+func DecodeStatus(err error) int {
+	if TooLarge(err) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// WriteJSON answers with status and v encoded as one line of JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with status and the body {"error": err.Error()}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{err.Error()})
 }

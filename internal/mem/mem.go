@@ -9,12 +9,12 @@ import "fmt"
 
 // Geometry is the shape of the memory system.
 type Geometry struct {
-	Channels     int
-	RanksPerChan int
-	BanksPerRank int
-	RowsPerBank  int
-	LinesPerRow  int
-	LineBytes    int
+	Channels     int `json:"channels"`
+	RanksPerChan int `json:"ranks_per_chan"`
+	BanksPerRank int `json:"banks_per_rank"`
+	RowsPerBank  int `json:"rows_per_bank"`
+	LinesPerRow  int `json:"lines_per_row"`
+	LineBytes    int `json:"line_bytes"`
 }
 
 // DefaultGeometry returns a deliberately small (simulation-sized) memory:

@@ -40,15 +40,15 @@ type Config struct {
 	// T is the per-line on-die correction strength in bits: raw error
 	// patterns of at most T bits are silently corrected before the
 	// controller sees the line. 0 disables the layer.
-	T int
+	T int `json:"t,omitempty"`
 	// WeakT is the weaker strength assigned to cold lines under the
 	// Luo-style capacity trade (0 = no on-die protection on those lines).
 	// Only meaningful when WeakFraction > 0.
-	WeakT int
+	WeakT int `json:"weak_t,omitempty"`
 	// WeakFraction is the fraction of lines assigned WeakT, chosen
 	// coldest-first by accumulated write count (ties resolve to the lower
 	// line index, so assignment is deterministic).
-	WeakFraction float64
+	WeakFraction float64 `json:"weak_fraction,omitempty"`
 }
 
 // Enabled reports whether the layer does anything. nil-safe.

@@ -45,12 +45,6 @@ func (m *Model) ReadLevel(c Cell, t float64) int {
 	return Levels - 1
 }
 
-// CellErred reports whether the cell reads back at the wrong level after
-// t seconds.
-func (m *Model) CellErred(c Cell, t float64) bool {
-	return m.ReadLevel(c, t) != c.Level
-}
-
 // CrossingTime returns the time (seconds since write) at which the cell's
 // resistance crosses the threshold directly above its level, or +Inf if it
 // never does (within the modelled horizon). A cell already above its

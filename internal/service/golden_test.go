@@ -3,6 +3,10 @@ package service
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/ondie"
 )
 
 // Golden fingerprints pin the content-address scheme. A cluster relies
@@ -29,7 +33,7 @@ var goldenFingerprints = []struct {
 			HorizonSec: 20000,
 			Seed:       7,
 			Replicas:   8,
-			Geometry: &GeometrySpec{
+			Geometry: &mem.Geometry{
 				Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
 				RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
 			},
@@ -40,9 +44,17 @@ var goldenFingerprints = []struct {
 		name: "kv-faulty",
 		spec: Spec{
 			Mechanism: "combined", Workload: "kv-store", Seed: 42,
-			Fault: &FaultSpec{ReadFlipRate: 0.001, SweepSkipRate: 0.01},
+			Fault: &fault.Plan{ReadFlipRate: 0.001, SweepSkipRate: 0.01},
 		},
 		want: "2fbdbc8d5d6bb8d9df573a0277a2c87e131b6f7030c0cb4f8f10bf96a2e56612",
+	},
+	{
+		name: "oltp-ondie-weak",
+		spec: Spec{
+			Workload: "db-oltp",
+			OnDie:    &ondie.Config{T: 1, WeakT: 0, WeakFraction: 0.25},
+		},
+		want: "f8013ea2a7735667a0cf4c4e149a289c461bb514c48608c62bc73f44d5958a1b",
 	},
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -110,7 +109,7 @@ func NewHandlerWith(s *Service, cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
 		if err := httpx.DecodeJSON(w, r, maxBody, true, &spec); err != nil {
-			writeDecodeError(w, err)
+			httpx.WriteError(w, httpx.DecodeStatus(err), err)
 			return
 		}
 		sub, err := s.SubmitWith(spec, SubmitOptions{Tenant: r.Header.Get(TenantHeader)})
@@ -122,20 +121,20 @@ func NewHandlerWith(s *Service, cfg HandlerConfig) http.Handler {
 		if sub.CacheHit {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, sub)
+		httpx.WriteJSON(w, status, sub)
 	})
 	mux.HandleFunc("POST /v1/jobs/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchSubmitRequest
 		if err := httpx.DecodeJSON(w, r, maxBody, true, &req); err != nil {
-			writeDecodeError(w, err)
+			httpx.WriteError(w, httpx.DecodeStatus(err), err)
 			return
 		}
 		if len(req.Specs) == 0 {
-			writeError(w, http.StatusBadRequest, errors.New("service: batch has no specs"))
+			httpx.WriteError(w, http.StatusBadRequest, errors.New("service: batch has no specs"))
 			return
 		}
 		if maxSpecs > 0 && len(req.Specs) > maxSpecs {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			httpx.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("service: batch has %d specs, limit %d", len(req.Specs), maxSpecs))
 			return
 		}
@@ -157,42 +156,42 @@ func NewHandlerWith(s *Service, cfg HandlerConfig) http.Handler {
 		}
 		// The batch itself always answers 200: each spec carries its own
 		// verdict, and partial acceptance is the normal case under load.
-		writeJSON(w, http.StatusOK, resp)
+		httpx.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		httpx.WriteJSON(w, http.StatusOK, struct {
 			Jobs []JobView `json:"jobs"`
 		}{s.List()})
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := s.Get(r.PathValue("id"))
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			httpx.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		httpx.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := s.Cancel(r.PathValue("id"))
 		switch {
 		case errors.Is(err, ErrNotFound):
-			writeError(w, http.StatusNotFound, err)
+			httpx.WriteError(w, http.StatusNotFound, err)
 			return
 		case errors.Is(err, ErrNotRunning):
-			writeJSON(w, http.StatusConflict, v)
+			httpx.WriteJSON(w, http.StatusConflict, v)
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		httpx.WriteJSON(w, http.StatusOK, v)
 	})
 	mux.HandleFunc("GET "+CacheIndexPath, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		httpx.WriteJSON(w, http.StatusOK, struct {
 			Fingerprints []string `json:"fingerprints"`
 		}{s.CacheIndex()})
 	})
 	mux.HandleFunc("GET "+CacheResultsPrefix+"{fp}", func(w http.ResponseWriter, r *http.Request) {
 		data, ok := s.CachedResult(r.PathValue("fp"))
 		if !ok {
-			writeError(w, http.StatusNotFound, ErrNotFound)
+			httpx.WriteError(w, http.StatusNotFound, ErrNotFound)
 			return
 		}
 		// The cached bytes are served verbatim: byte identity across the
@@ -217,7 +216,7 @@ func NewHandlerWith(s *Service, cfg HandlerConfig) http.Handler {
 		h.Build = cfg.Build
 		adm := s.Admission()
 		h.Admission = &adm
-		writeJSON(w, http.StatusOK, h)
+		httpx.WriteJSON(w, http.StatusOK, h)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -289,27 +288,5 @@ func writeSubmitError(w http.ResponseWriter, s *Service, err error) {
 		occ, cap := s.QueueOccupancy()
 		SetRetryAfter(w.Header(), occ, cap)
 	}
-	writeError(w, status, err)
-}
-
-// writeDecodeError answers an unreadable request body: 413 when it blew
-// the size cap, 400 otherwise.
-func writeDecodeError(w http.ResponseWriter, err error) {
-	if httpx.TooLarge(err) {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{err.Error()})
+	httpx.WriteError(w, status, err)
 }

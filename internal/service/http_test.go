@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // newTestServer starts a Service (real DefaultRunner unless overridden)
@@ -186,6 +188,7 @@ func TestHTTPValidation(t *testing.T) {
 		"malformed":     `{"workload":`,
 		"unknown field": `{"workload":"db-oltp","bogus":1}`,
 		"bad workload":  `{"workload":"nope"}`,
+		"neg horizon":   `{"workload":"db-oltp","horizon_sec":-5}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -366,7 +369,7 @@ func TestShortHorizonJobCompletes(t *testing.T) {
 func TestDefaultRunnerReplicated(t *testing.T) {
 	spec := tinySpec(3)
 	spec.Replicas = 3
-	spec.Fault = &FaultSpec{SweepSkipRate: 0.5, Seed: 7}
+	spec.Fault = &fault.Plan{SweepSkipRate: 0.5, Seed: 7}
 	norm := mustNormalize(t, spec)
 	res, err := DefaultRunner(context.Background(), norm)
 	if err != nil {

@@ -278,26 +278,11 @@ func (s *Service) Submit(spec Spec) (Submission, error) {
 // does not burn its rate budget on refusals. Rejections map to typed
 // errors (ErrRateLimited, ErrDeadlineExpired, ErrShedding,
 // ErrQueueFull, ErrClosed) that the HTTP layer turns into statuses.
+// It is a one-spec batch: the journal write-ahead is a group commit of
+// one record.
 func (s *Service) SubmitWith(spec Spec, opts SubmitOptions) (Submission, error) {
-	norm, err := spec.Normalized()
-	if err != nil {
-		return Submission{}, err
-	}
-	fp := norm.Fingerprint()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sub, j, err := s.admitLocked(norm, fp, opts, 0)
-	if err != nil || j == nil {
-		return sub, err
-	}
-	// Write-ahead: the submission record must be durable before the job
-	// is acknowledged, or a crash after the 202 would silently drop it.
-	if err := s.journalSubmitted(j); err != nil {
-		return Submission{}, err
-	}
-	s.enqueueLocked(j)
-	return Submission{ID: j.id, Fingerprint: fp, State: StateQueued}, nil
+	r := s.submit([]Spec{spec}, opts)[0]
+	return r.Submission, r.Err
 }
 
 // admitLocked decides one spec's fate. It returns either a terminal
@@ -358,15 +343,15 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 		if err := takeToken(); err != nil {
 			return Submission{}, nil, err
 		}
-		s.attachLocked(cur, class, deadline, hasDeadline)
+		s.countAttached(1, s.attachLocked(cur, class, deadline, hasDeadline))
 		return Submission{ID: cur.id, Fingerprint: fp, State: cur.state, Deduped: true}, nil, nil
 	}
 	if !state.AdmitsFresh(class) {
 		s.countShed(class)
 		return Submission{}, nil, &ShedError{State: state, Class: class}
 	}
-	// Submit, SubmitBatch, and Recover all enqueue under s.mu, so this
-	// occupancy check cannot race another producer.
+	// Every submission and Recover enqueue under s.mu, so this occupancy
+	// check cannot race another producer.
 	if s.pq.len()+pending >= s.queueCap {
 		s.counters.rejected.Add(1)
 		return Submission{}, nil, fmt.Errorf("%w (capacity %d)", ErrQueueFull, s.queueCap)
@@ -390,23 +375,24 @@ func (s *Service) admitLocked(norm Spec, fp string, opts SubmitOptions, pending 
 // job, escalating the queued job's scheduling position when the new
 // submission outranks it: the class rises to the higher of the two and
 // the deadline tightens to the earlier — whoever is waiting hardest sets
-// the pace for the shared run. Caller holds s.mu.
-func (s *Service) attachLocked(cur *job, class Class, deadline time.Time, hasDeadline bool) {
+// the pace for the shared run. A job not yet in the heap (a batch
+// sibling awaiting its group commit) just has its fields updated. It
+// returns 1 when the class rose, else 0; counting is the caller's (see
+// countAttached). Caller holds s.mu.
+func (s *Service) attachLocked(cur *job, class Class, deadline time.Time, hasDeadline bool) (escalated int) {
 	cur.attached++
-	s.counters.accepted.Add(1)
-	s.counters.deduped.Add(1)
 	if cur.state != StateQueued {
-		return
+		return 0
 	}
 	escalate := class > cur.class
 	tighten := hasDeadline && (cur.deadline.IsZero() || deadline.Before(cur.deadline))
 	if !escalate && !tighten {
-		return
+		return 0
 	}
 	inHeap := s.pq.remove(cur)
 	if escalate {
 		cur.class = class
-		s.counters.escalated.Add(1)
+		escalated = 1
 	}
 	if tighten {
 		cur.deadline = deadline
@@ -414,6 +400,15 @@ func (s *Service) attachLocked(cur *job, class Class, deadline time.Time, hasDea
 	if inHeap {
 		s.pq.push(cur)
 	}
+	return escalated
+}
+
+// countAttached counts n accepted dedup attaches, escalated of which
+// raised their job's class.
+func (s *Service) countAttached(n, escalated int) {
+	s.counters.accepted.Add(int64(n))
+	s.counters.deduped.Add(int64(n))
+	s.counters.escalated.Add(int64(escalated))
 }
 
 // shedStateFor computes the shed state as if pending extra jobs were
@@ -438,14 +433,16 @@ func (s *Service) countShed(class Class) {
 }
 
 // enqueueLocked publishes an admitted, journaled job to the queue and
-// wakes a worker. Caller holds s.mu.
+// wakes a worker. The first queued job of a fingerprint stays its
+// in-flight holder: admission never enqueues a second one, but
+// recovery can replay two. Caller holds s.mu.
 func (s *Service) enqueueLocked(j *job) {
 	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	s.jobs[j.id] = j
-	s.inflight[j.fingerprint] = j
+	if _, dup := s.inflight[j.fingerprint]; !dup {
+		s.inflight[j.fingerprint] = j
+	}
 	s.pq.push(j)
-	s.counters.accepted.Add(1)
-	s.counters.cacheMisses.Add(1)
 	s.queueCond.Signal()
 }
 
@@ -466,6 +463,13 @@ type BatchResult struct {
 // sibling deduped onto one — while cache hits and dedups against
 // already-journaled in-flight jobs stand.
 func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
+	s.counters.batchRequests.Add(1)
+	s.counters.batchSpecs.Add(int64(len(specs)))
+	return s.submit(specs, opts)
+}
+
+// submit is the one admission path behind SubmitWith and SubmitBatch.
+func (s *Service) submit(specs []Spec, opts SubmitOptions) []BatchResult {
 	results := make([]BatchResult, len(specs))
 	norms := make([]Spec, len(specs))
 	fps := make([]string, len(specs))
@@ -480,8 +484,6 @@ func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.counters.batchRequests.Add(1)
-	s.counters.batchSpecs.Add(int64(len(specs)))
 	var fresh []*job
 	var freshIdx []int
 	pending := make(map[string]*job)
@@ -489,25 +491,16 @@ func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
 	// here (result indices per fingerprint) and counted only after the
 	// group commit succeeds, so a journal failure can take them back.
 	sibIdx := make(map[string][]int)
-	var sibDeduped, sibEscalated int64
+	var sibDeduped, sibEscalated int
 	for i := range specs {
 		if results[i].Err != nil {
 			continue
 		}
 		if cur, ok := pending[fps[i]]; ok {
-			// Dedup against a sibling admitted earlier in this batch: the
-			// job exists but is not yet in the heap, so escalation just
-			// updates its fields.
-			cur.attached++
+			// Dedup against a sibling admitted earlier in this call.
+			dl, hasDL, _ := norms[i].DeadlineTime()
+			sibEscalated += s.attachLocked(cur, norms[i].Class(), dl, hasDL)
 			sibDeduped++
-			class := norms[i].Class()
-			if class > cur.class {
-				cur.class = class
-				sibEscalated++
-			}
-			if dl, ok, _ := norms[i].DeadlineTime(); ok && (cur.deadline.IsZero() || dl.Before(cur.deadline)) {
-				cur.deadline = dl
-			}
 			sibIdx[fps[i]] = append(sibIdx[fps[i]], i)
 			results[i] = BatchResult{Submission: Submission{
 				ID: cur.id, Fingerprint: cur.fingerprint, State: StateQueued, Deduped: true,
@@ -531,10 +524,12 @@ func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
 	if len(fresh) == 0 {
 		return results
 	}
-	if err := s.journalSubmittedBatch(fresh); err != nil {
-		// The write-ahead barrier failed for the whole group: none of
-		// these jobs may be acknowledged — including the siblings deduped
-		// onto them, whose shared job is never journaled or enqueued.
+	// Write-ahead: the submission records must be durable before any job
+	// is acknowledged, or a crash after the 202 would silently drop it.
+	if err := s.journalSubmitted(fresh); err != nil {
+		// The barrier failed for the whole group: none of these jobs may be
+		// acknowledged — including the siblings deduped onto them, whose
+		// shared job is never journaled or enqueued.
 		for _, i := range freshIdx {
 			results[i] = BatchResult{Err: err}
 		}
@@ -545,35 +540,20 @@ func (s *Service) SubmitBatch(specs []Spec, opts SubmitOptions) []BatchResult {
 		}
 		return results
 	}
-	s.counters.accepted.Add(sibDeduped)
-	s.counters.deduped.Add(sibDeduped)
-	s.counters.escalated.Add(sibEscalated)
+	s.countAttached(sibDeduped, sibEscalated)
 	for _, j := range fresh {
 		s.enqueueLocked(j)
 	}
+	s.counters.accepted.Add(int64(len(fresh)))
+	s.counters.cacheMisses.Add(int64(len(fresh)))
 	return results
 }
 
-// journalSubmitted write-aheads a fresh job's acceptance. A nil journal
-// is a no-op; an append failure rejects the submission (the daemon must
-// not acknowledge work it cannot make durable).
-func (s *Service) journalSubmitted(j *job) error {
-	if s.journal == nil {
-		return nil
-	}
-	specJSON, err := json.Marshal(j.spec)
-	if err != nil {
-		return fmt.Errorf("service: encode spec for journal: %w", err)
-	}
-	return s.journal.Append(journal.Record{
-		Type: journal.TypeSubmitted, Job: j.id,
-		Fingerprint: j.fingerprint, Spec: specJSON,
-	})
-}
-
-// journalSubmittedBatch write-aheads a whole batch's acceptance as one
-// group commit: N records, one fsync.
-func (s *Service) journalSubmittedBatch(jobs []*job) error {
+// journalSubmitted write-aheads fresh jobs' acceptance as one group
+// commit: N records, one fsync. A nil journal is a no-op; an append
+// failure refuses every job in the group (the daemon must not
+// acknowledge work it cannot make durable).
+func (s *Service) journalSubmitted(jobs []*job) error {
 	if s.journal == nil {
 		return nil
 	}
@@ -817,11 +797,11 @@ func (s *Service) Cancel(id string) (JobView, error) {
 
 // Recover replays a previous incarnation's journal into the service:
 // terminal jobs are restored verbatim (done results re-seed the cache),
-// incomplete jobs are re-enqueued under their original IDs with their
-// shard plan and completed-shard checkpoints attached, and the ID
-// counter resumes past every recovered ID. Because replica seeds derive
-// from absolute indices, a recovered campaign's final result is
-// byte-identical to an uninterrupted run.
+// incomplete jobs are re-enqueued through the live enqueue path under
+// their original IDs with their shard plan and completed-shard
+// checkpoints attached, and the ID counter resumes past every recovered
+// ID. Because replica seeds derive from absolute indices, a recovered
+// campaign's final result is byte-identical to an uninterrupted run.
 //
 // Call Recover after New and before serving traffic; it returns the
 // number of jobs re-enqueued for execution.
@@ -901,18 +881,13 @@ func (s *Service) Recover(rec *journal.Recovery) (int, error) {
 			}
 			s.arrival++
 			j.arrival = s.arrival
-			j.heapIdx = -1
 			if len(js.Plan) > 0 || len(js.Shards) > 0 {
 				j.resume = &shardResume{plan: js.Plan, checkpoints: js.Shards}
 			}
-			j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-			s.pq.push(j)
-			s.queueCond.Signal()
-			if _, dup := s.inflight[j.fingerprint]; !dup {
-				s.inflight[j.fingerprint] = j
-			}
+			s.enqueueLocked(j)
 			s.counters.recovered.Add(1)
 			requeued++
+			continue
 		}
 		s.jobs[j.id] = j
 	}

@@ -32,82 +32,10 @@ const specVersion = "scrubd/v1"
 // submission cannot monopolise the daemon.
 const MaxReplicas = 256
 
-// GeometrySpec shapes the simulated region; zero-valued fields (or a nil
-// GeometrySpec) select the study's default geometry.
-type GeometrySpec struct {
-	Channels     int `json:"channels"`
-	RanksPerChan int `json:"ranks_per_chan"`
-	BanksPerRank int `json:"banks_per_rank"`
-	RowsPerBank  int `json:"rows_per_bank"`
-	LinesPerRow  int `json:"lines_per_row"`
-	LineBytes    int `json:"line_bytes"`
-}
-
-// geometry converts the wire form to the simulator's geometry.
-func (g *GeometrySpec) geometry() mem.Geometry {
-	return mem.Geometry{
-		Channels: g.Channels, RanksPerChan: g.RanksPerChan, BanksPerRank: g.BanksPerRank,
-		RowsPerBank: g.RowsPerBank, LinesPerRow: g.LinesPerRow, LineBytes: g.LineBytes,
-	}
-}
-
-// geometrySpec converts the simulator's geometry to wire form.
-func geometrySpec(g mem.Geometry) *GeometrySpec {
-	return &GeometrySpec{
-		Channels: g.Channels, RanksPerChan: g.RanksPerChan, BanksPerRank: g.BanksPerRank,
-		RowsPerBank: g.RowsPerBank, LinesPerRow: g.LinesPerRow, LineBytes: g.LineBytes,
-	}
-}
-
-// FaultSpec mirrors fault.Plan in wire form: per-site rates of the
-// imperfect scrub controller. An all-zero (or absent) FaultSpec is the
-// perfect-controller baseline.
-type FaultSpec struct {
-	ReadFlipRate    float64 `json:"read_flip_rate,omitempty"`
-	ReadFlipMaxBits int     `json:"read_flip_max_bits,omitempty"`
-	SweepSkipRate   float64 `json:"sweep_skip_rate,omitempty"`
-	ProbeMissRate   float64 `json:"probe_miss_rate,omitempty"`
-	StuckCheckRate  float64 `json:"stuck_check_rate,omitempty"`
-	StuckCheckBits  int     `json:"stuck_check_bits,omitempty"`
-	StallRate       float64 `json:"stall_rate,omitempty"`
-	StallFactor     float64 `json:"stall_factor,omitempty"`
-	Seed            uint64  `json:"seed,omitempty"`
-}
-
-// plan converts the wire form to the simulator's fault plan.
-func (f *FaultSpec) plan() *fault.Plan {
-	if f == nil {
-		return nil
-	}
-	return &fault.Plan{
-		ReadFlipRate:    f.ReadFlipRate,
-		ReadFlipMaxBits: f.ReadFlipMaxBits,
-		SweepSkipRate:   f.SweepSkipRate,
-		ProbeMissRate:   f.ProbeMissRate,
-		StuckCheckRate:  f.StuckCheckRate,
-		StuckCheckBits:  f.StuckCheckBits,
-		StallRate:       f.StallRate,
-		StallFactor:     f.StallFactor,
-		Seed:            f.Seed,
-	}
-}
-
-// OnDieSpec mirrors ondie.Config in wire form: the chip-internal ECC
-// layered under the controller. An all-zero (or absent) OnDieSpec is
-// the no-on-die-ECC baseline.
-type OnDieSpec struct {
-	T            int     `json:"t,omitempty"`
-	WeakT        int     `json:"weak_t,omitempty"`
-	WeakFraction float64 `json:"weak_fraction,omitempty"`
-}
-
-// config converts the wire form to the simulator's on-die config.
-func (o *OnDieSpec) config() *ondie.Config {
-	if o == nil {
-		return nil
-	}
-	return &ondie.Config{T: o.T, WeakT: o.WeakT, WeakFraction: o.WeakFraction}
-}
+// GeometrySpec is mem.Geometry under its serving-layer name, kept for
+// the benchmark module that spells it that way; mem.Geometry carries
+// the JSON tags.
+type GeometrySpec = mem.Geometry
 
 // Spec is the canonical description of one simulation job: the system,
 // the mechanism, the workload, and the replica count. Two specs that
@@ -140,12 +68,15 @@ type Spec struct {
 	Substeps int `json:"substeps,omitempty"`
 	// RiskTarget for derived intervals (0 = system default).
 	RiskTarget float64 `json:"risk_target,omitempty"`
-	// Geometry optionally shrinks or grows the simulated region.
-	Geometry *GeometrySpec `json:"geometry,omitempty"`
-	// Fault optionally injects scrub-path faults.
-	Fault *FaultSpec `json:"fault,omitempty"`
-	// OnDie optionally layers chip-internal ECC under the controller.
-	OnDie *OnDieSpec `json:"ondie,omitempty"`
+	// Geometry optionally shrinks or grows the simulated region; nil or
+	// all-zero selects the study's default geometry.
+	Geometry *mem.Geometry `json:"geometry,omitempty"`
+	// Fault optionally injects scrub-path faults; nil or all-zero rates
+	// are the perfect-controller baseline.
+	Fault *fault.Plan `json:"fault,omitempty"`
+	// OnDie optionally layers chip-internal ECC under the controller; nil
+	// or T == 0 is the no-on-die-ECC baseline.
+	OnDie *ondie.Config `json:"ondie,omitempty"`
 	// TimeoutSec is the job's execution deadline in wall seconds
 	// (0 = none). The budget bounds the whole run and propagates through
 	// every shard RPC a cluster coordinator issues for the job.
@@ -281,18 +212,17 @@ func (s Spec) Normalized() (Spec, error) {
 	if n.RiskTarget == 0 {
 		n.RiskTarget = def.RiskTarget
 	}
-	if n.Geometry == nil || *n.Geometry == (GeometrySpec{}) {
-		n.Geometry = geometrySpec(def.Geometry)
-	} else {
+	geo := def.Geometry
+	if n.Geometry != nil && *n.Geometry != (mem.Geometry{}) {
 		// A partially specified geometry is ambiguous, not defaultable.
-		geo := *n.Geometry
-		n.Geometry = &geo // don't alias the caller's struct
+		geo = *n.Geometry
 	}
+	n.Geometry = &geo // don't alias the caller's struct
 	if n.Fault != nil {
-		if !n.Fault.plan().Enabled() {
+		if !n.Fault.Enabled() {
 			// Validate before discarding: a negative rate is an error, not
 			// the baseline.
-			if err := n.Fault.plan().Validate(); err != nil {
+			if err := n.Fault.Validate(); err != nil {
 				return Spec{}, err
 			}
 			n.Fault = nil // all-zero plan is byte-identical to no plan
@@ -302,10 +232,10 @@ func (s Spec) Normalized() (Spec, error) {
 		}
 	}
 	if n.OnDie != nil {
-		if !n.OnDie.config().Enabled() {
+		if !n.OnDie.Enabled() {
 			// Validate before discarding: a negative strength is an error,
 			// not the baseline.
-			if err := n.OnDie.config().Validate(); err != nil {
+			if err := n.OnDie.Validate(); err != nil {
 				return Spec{}, err
 			}
 			n.OnDie = nil // a disabled layer is byte-identical to none
@@ -346,9 +276,22 @@ func (s Spec) Fingerprint() string {
 // the spec onto the study's default system, mirroring the scrubsim CLI's
 // override order: suite mechanism first, then scheme/policy/interval.
 func (s Spec) Build() (core.System, core.Mechanism, trace.Workload, error) {
+	fail := func(err error) (core.System, core.Mechanism, trace.Workload, error) {
+		return core.System{}, core.Mechanism{}, trace.Workload{}, err
+	}
+	// Zero selects the default; a negative value is a malformed spec, not
+	// a request for the default.
+	switch {
+	case s.HorizonSec < 0:
+		return fail(fmt.Errorf("service: horizon_sec must be non-negative, got %g", s.HorizonSec))
+	case s.RiskTarget < 0:
+		return fail(fmt.Errorf("service: risk_target must be non-negative, got %g", s.RiskTarget))
+	case s.Substeps < 0:
+		return fail(fmt.Errorf("service: substeps must be non-negative, got %d", s.Substeps))
+	}
 	sys := core.DefaultSystem()
-	if g := s.Geometry; g != nil && *g != (GeometrySpec{}) {
-		sys.Geometry = g.geometry()
+	if g := s.Geometry; g != nil && *g != (mem.Geometry{}) {
+		sys.Geometry = *g
 	}
 	if s.HorizonSec > 0 {
 		sys.Horizon = s.HorizonSec
@@ -361,29 +304,25 @@ func (s Spec) Build() (core.System, core.Mechanism, trace.Workload, error) {
 	}
 	sys.InitialLineWrites = s.AgedWrites
 	sys.Substeps = s.Substeps
-	if plan := s.Fault.plan(); plan.Enabled() {
-		sys.Fault = plan
-	} else if plan != nil {
-		if err := plan.Validate(); err != nil {
-			return core.System{}, core.Mechanism{}, trace.Workload{}, err
-		}
+	if s.Fault.Enabled() {
+		plan := *s.Fault // don't alias the spec's plan
+		sys.Fault = &plan
+	} else if err := s.Fault.Validate(); err != nil {
+		return fail(err)
 	}
-	if cfg := s.OnDie.config(); cfg.Enabled() {
-		if err := cfg.Validate(); err != nil {
-			return core.System{}, core.Mechanism{}, trace.Workload{}, err
-		}
-		sys.OnDie = cfg
-	} else if cfg != nil {
-		if err := cfg.Validate(); err != nil {
-			return core.System{}, core.Mechanism{}, trace.Workload{}, err
-		}
+	if err := s.OnDie.Validate(); err != nil {
+		return fail(err)
+	}
+	if s.OnDie.Enabled() {
+		cfg := *s.OnDie
+		sys.OnDie = &cfg
 	}
 	if s.Workload == "" {
-		return core.System{}, core.Mechanism{}, trace.Workload{}, fmt.Errorf("service: spec needs a workload")
+		return fail(fmt.Errorf("service: spec needs a workload"))
 	}
 	w, err := trace.ByName(s.Workload)
 	if err != nil {
-		return core.System{}, core.Mechanism{}, trace.Workload{}, err
+		return fail(err)
 	}
 	mechName := s.Mechanism
 	if mechName == "" {
@@ -391,12 +330,12 @@ func (s Spec) Build() (core.System, core.Mechanism, trace.Workload, error) {
 	}
 	mech, err := core.SuiteMechanism(sys, mechName)
 	if err != nil {
-		return core.System{}, core.Mechanism{}, trace.Workload{}, err
+		return fail(err)
 	}
 	if s.Scheme != "" {
 		sch, err := ecc.ByName(s.Scheme)
 		if err != nil {
-			return core.System{}, core.Mechanism{}, trace.Workload{}, err
+			return fail(err)
 		}
 		mech.Scheme = sch
 		mech.Name = s.Scheme + "+" + mech.Policy.Name()
@@ -404,13 +343,13 @@ func (s Spec) Build() (core.System, core.Mechanism, trace.Workload, error) {
 	if s.Policy != "" {
 		p, err := scrub.ByName(s.Policy)
 		if err != nil {
-			return core.System{}, core.Mechanism{}, trace.Workload{}, err
+			return fail(err)
 		}
 		mech.Policy = p
 		mech.Name = mech.Scheme.Name() + "+" + p.Name()
 	}
 	if s.IntervalSec < 0 {
-		return core.System{}, core.Mechanism{}, trace.Workload{}, fmt.Errorf("service: interval must be non-negative")
+		return fail(fmt.Errorf("service: interval must be non-negative"))
 	}
 	if s.IntervalSec > 0 {
 		mech.Interval = s.IntervalSec

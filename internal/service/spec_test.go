@@ -3,11 +3,14 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/mem"
 )
 
 // tinyGeometry keeps test simulations fast (128 lines).
-func tinyGeometry() *GeometrySpec {
-	return &GeometrySpec{
+func tinyGeometry() *mem.Geometry {
+	return &mem.Geometry{
 		Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
 		RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
 	}
@@ -77,7 +80,7 @@ func TestFingerprintSensitiveToEveryField(t *testing.T) {
 		"substeps":    func(s *Spec) { s.Substeps = 4 },
 		"risk_target": func(s *Spec) { s.RiskTarget = 1e-3 },
 		"geometry":    func(s *Spec) { s.Geometry.RowsPerBank = 16 },
-		"fault":       func(s *Spec) { s.Fault = &FaultSpec{SweepSkipRate: 0.1} },
+		"fault":       func(s *Spec) { s.Fault = &fault.Plan{SweepSkipRate: 0.1} },
 	}
 	for name, mutate := range mutations {
 		s := tinySpec(1)
@@ -95,7 +98,7 @@ func TestFingerprintSensitiveToEveryField(t *testing.T) {
 
 func TestNormalizedDropsAllZeroFault(t *testing.T) {
 	s := tinySpec(1)
-	s.Fault = &FaultSpec{}
+	s.Fault = &fault.Plan{}
 	n := mustNormalize(t, s)
 	if n.Fault != nil {
 		t.Error("all-zero fault plan survived normalisation")
@@ -115,8 +118,11 @@ func TestNormalizedRejects(t *testing.T) {
 		"neg interval":     {Workload: "db-oltp", IntervalSec: -1},
 		"replicas too big": {Workload: "db-oltp", Replicas: MaxReplicas + 1},
 		"neg replicas":     {Workload: "db-oltp", Replicas: -1},
-		"neg fault rate":   {Workload: "db-oltp", Fault: &FaultSpec{SweepSkipRate: -0.5}},
-		"bad geometry":     {Workload: "db-oltp", Geometry: &GeometrySpec{Channels: 1}},
+		"neg fault rate":   {Workload: "db-oltp", Fault: &fault.Plan{SweepSkipRate: -0.5}},
+		"bad geometry":     {Workload: "db-oltp", Geometry: &mem.Geometry{Channels: 1}},
+		"neg horizon":      {Workload: "db-oltp", HorizonSec: -5},
+		"neg risk target":  {Workload: "db-oltp", RiskTarget: -0.5},
+		"neg substeps":     {Workload: "db-oltp", Substeps: -1},
 	}
 	for name, s := range cases {
 		if _, err := s.Normalized(); err == nil {

@@ -148,99 +148,3 @@ func Quantile(xs []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); observations outside
-// the range are counted in under/overflow bins.
-type Histogram struct {
-	Lo, Hi    float64
-	Bins      []int64
-	Underflow int64
-	Overflow  int64
-	width     float64
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins spanning
-// [lo, hi). It panics on a degenerate range or non-positive bin count.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		panic("stats: NewHistogram with non-positive bin count")
-	}
-	if !(hi > lo) {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	return &Histogram{
-		Lo: lo, Hi: hi,
-		Bins:  make([]int64, nbins),
-		width: (hi - lo) / float64(nbins),
-	}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / h.width)
-		if i >= len(h.Bins) { // rounding guard at the upper edge
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the count of all observations, including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.Underflow + h.Overflow
-	for _, c := range h.Bins {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.width
-}
-
-// Mode returns the center of the most populated bin (the first such bin on
-// ties). It returns NaN for an empty histogram.
-func (h *Histogram) Mode() float64 {
-	best, bestCount := -1, int64(0)
-	for i, c := range h.Bins {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	if best < 0 {
-		return math.NaN()
-	}
-	return h.BinCenter(best)
-}
-
-// Counter is a labeled monotonic counter set, used for event accounting
-// throughout the simulator.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: map[string]int64{}} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the named counter (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -165,75 +165,3 @@ func TestQuantileEmptyNaN(t *testing.T) {
 		t.Error("empty quantile should be NaN")
 	}
 }
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(11)
-	for i, c := range h.Bins {
-		if c != 1 {
-			t.Errorf("bin %d count %d, want 1", i, c)
-		}
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under/over = %d/%d", h.Underflow, h.Overflow)
-	}
-	if h.Total() != 13 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramBinCenterAndMode(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if math.Abs(h.BinCenter(0)-0.125) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	h.Add(0.6)
-	h.Add(0.65)
-	h.Add(0.1)
-	if math.Abs(h.Mode()-0.625) > 1e-12 {
-		t.Errorf("mode = %v", h.Mode())
-	}
-}
-
-func TestHistogramEmptyModeNaN(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Mode()) {
-		t.Error("empty histogram mode should be NaN")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 4) },
-		func() { NewHistogram(2, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("reads", 3)
-	c.Inc("writes", 1)
-	c.Inc("reads", 2)
-	if c.Get("reads") != 5 || c.Get("writes") != 1 || c.Get("absent") != 0 {
-		t.Errorf("counter values wrong: reads=%d writes=%d", c.Get("reads"), c.Get("writes"))
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Errorf("names = %v", names)
-	}
-}
