@@ -315,7 +315,7 @@ func serve(ctx context.Context, opts options) error {
 	mux := http.NewServeMux()
 	switch opts.role {
 	case roleCoordinator:
-		ms := cluster.NewMembershipWith(cluster.MembershipConfig{
+		ms := cluster.NewMembership(cluster.MembershipConfig{
 			PerWorkerInFlight: opts.shardInflight,
 			WorkerTTL:         opts.workerTTL,
 		})

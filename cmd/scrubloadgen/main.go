@@ -26,9 +26,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +41,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/journal"
+	"repro/internal/mem"
 	"repro/internal/service"
 )
 
@@ -231,7 +233,7 @@ func run() error {
 				if off+n > cfg.Jobs {
 					n = cfg.Jobs - off
 				}
-				specs := make([]specJSON, n)
+				specs := make([]service.Spec, n)
 				classes := make([]service.Class, n)
 				for i := 0; i < n; i++ {
 					specs[i], classes[i] = makeSpec(rng, cfg)
@@ -370,39 +372,19 @@ func run() error {
 	return nil
 }
 
-// specJSON is the submitted wire spec; the miniature smoke geometry
-// keeps a fresh simulation in the low milliseconds.
-type specJSON struct {
-	Mechanism  string   `json:"mechanism"`
-	Workload   string   `json:"workload"`
-	HorizonSec float64  `json:"horizon_sec"`
-	Seed       uint64   `json:"seed"`
-	Replicas   int      `json:"replicas,omitempty"`
-	Geometry   geomJSON `json:"geometry"`
-	Priority   string   `json:"priority,omitempty"`
-	DeadlineAt string   `json:"deadline_at,omitempty"`
-}
-
-type geomJSON struct {
-	Channels     int `json:"channels"`
-	RanksPerChan int `json:"ranks_per_chan"`
-	BanksPerRank int `json:"banks_per_rank"`
-	RowsPerBank  int `json:"rows_per_bank"`
-	LinesPerRow  int `json:"lines_per_row"`
-	LineBytes    int `json:"line_bytes"`
-}
-
 // makeSpec draws one job from the load mix: a seed from the bounded
 // unique pool (duplicates are the point), a priority from a 20/50/30
-// interactive/normal/batch split, and sometimes a deadline.
-func makeSpec(rng *rand.Rand, cfg genConfig) (specJSON, service.Class) {
-	s := specJSON{
+// interactive/normal/batch split, and sometimes a deadline. The
+// miniature smoke geometry keeps a fresh simulation in the low
+// milliseconds.
+func makeSpec(rng *rand.Rand, cfg genConfig) (service.Spec, service.Class) {
+	s := service.Spec{
 		Mechanism:  "basic",
 		Workload:   "db-oltp",
 		HorizonSec: cfg.Horizon,
 		Seed:       uint64(rng.Intn(cfg.Unique)) + 1,
 		Replicas:   cfg.Replicas,
-		Geometry: geomJSON{
+		Geometry: &mem.Geometry{
 			Channels: 1, RanksPerChan: 1, BanksPerRank: 2,
 			RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
 		},
@@ -422,60 +404,28 @@ func makeSpec(rng *rand.Rand, cfg genConfig) (specJSON, service.Class) {
 }
 
 // submit posts one batch (or a single job when the batch size is 1) and
-// returns per-spec statuses plus dedup/cache-hit markers.
-func submit(client *http.Client, base, tenant string, specs []specJSON) (statuses []int, dedups, hits []bool, err error) {
+// returns per-spec statuses plus dedup/cache-hit markers. A refused
+// single submission is a status, not an error.
+func submit(client *http.Client, base, tenant string, specs []service.Spec) (statuses []int, dedups, hits []bool, err error) {
 	statuses = make([]int, len(specs))
 	dedups = make([]bool, len(specs))
 	hits = make([]bool, len(specs))
+	hdr := http.Header{service.TenantHeader: {tenant}}
 	if len(specs) == 1 {
-		body, _ := json.Marshal(specs[0])
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
+		var sub service.Submission
+		status, err := httpx.Call(context.Background(), client, http.MethodPost, base+"/v1/jobs", hdr, specs[0], &sub)
+		var se *httpx.StatusError
+		if err != nil && !errors.As(err, &se) {
 			return nil, nil, nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Scrubd-Tenant", tenant)
-		resp, err := client.Do(req)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var sub struct {
-			CacheHit bool `json:"cache_hit"`
-			Deduped  bool `json:"deduped"`
-		}
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		_ = json.Unmarshal(raw, &sub)
-		statuses[0], dedups[0], hits[0] = resp.StatusCode, sub.Deduped, sub.CacheHit
+		statuses[0], dedups[0], hits[0] = status, sub.Deduped, sub.CacheHit
 		return statuses, dedups, hits, nil
 	}
-	body, _ := json.Marshal(struct {
-		Specs []specJSON `json:"specs"`
-	}{specs})
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs/batch", bytes.NewReader(body))
+	var br service.BatchSubmitResponse
+	_, err = httpx.Call(context.Background(), client, http.MethodPost, base+"/v1/jobs/batch", hdr,
+		service.BatchSubmitRequest{Specs: specs}, &br)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Scrubd-Tenant", tenant)
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return nil, nil, nil, fmt.Errorf("batch submit: %s: %s", resp.Status, bytes.TrimSpace(raw))
-	}
-	var br struct {
-		Results []struct {
-			Status   int  `json:"status"`
-			CacheHit bool `json:"cache_hit"`
-			Deduped  bool `json:"deduped"`
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&br); err != nil {
-		return nil, nil, nil, fmt.Errorf("batch submit: decode: %w", err)
+		return nil, nil, nil, fmt.Errorf("batch submit: %w", err)
 	}
 	if len(br.Results) != len(specs) {
 		return nil, nil, nil, fmt.Errorf("batch submit: %d results for %d specs", len(br.Results), len(specs))
@@ -488,18 +438,8 @@ func submit(client *http.Client, base, tenant string, specs []specJSON) (statuse
 
 // pollAdmission reads /healthz's admission block.
 func pollAdmission(base string) (state string, depth int) {
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return "", 0
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Admission *struct {
-			State      string `json:"state"`
-			QueueDepth int    `json:"queue_depth"`
-		} `json:"admission"`
-	}
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h) != nil || h.Admission == nil {
+	var h service.Health
+	if _, err := httpx.Call(context.Background(), nil, http.MethodGet, base+"/healthz", nil, nil, &h); err != nil || h.Admission == nil {
 		return "", 0
 	}
 	return h.Admission.State, h.Admission.QueueDepth

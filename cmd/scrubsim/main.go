@@ -28,16 +28,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,6 +43,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/httpx"
 	"repro/internal/ondie"
 	"repro/internal/service"
 	"repro/internal/stats"
@@ -418,21 +417,11 @@ func pollBackoff(attempt int) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// retryAfter extracts a 429 reply's Retry-After delay (seconds form),
-// falling back to fallback when absent or unparseable.
-func retryAfter(resp *http.Response, fallback time.Duration) time.Duration {
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && secs >= 0 {
-			return time.Duration(secs) * time.Second
-		}
-	}
-	return fallback
-}
-
 // submitJob POSTs the spec to scrubd's jobs API — retrying a 429
-// (queue-full) submission after the daemon's Retry-After hint — and
-// polls the job with jittered exponential backoff until it reaches a
-// terminal state. A non-zero pollTimeout bounds the whole wait.
+// (queue-full) or 503 (shedding) submission after the daemon's
+// Retry-After hint — and polls the job with jittered exponential backoff
+// until it reaches a terminal state. A non-zero pollTimeout bounds the
+// whole wait.
 func submitJob(ctx context.Context, base string, spec service.Spec, pollTimeout time.Duration) (*service.Result, error) {
 	if pollTimeout > 0 {
 		var cancel context.CancelFunc
@@ -440,36 +429,20 @@ func submitJob(ctx context.Context, base string, spec service.Spec, pollTimeout 
 		defer cancel()
 	}
 	base = strings.TrimSuffix(base, "/")
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	var sub struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
+	var sub service.Submission
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("submit to %s: %w", base, err)
-		}
-		raw, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if readErr != nil {
-			return nil, readErr
-		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+		_, err := httpx.Call(ctx, nil, http.MethodPost, base+"/v1/jobs", nil, spec, &sub)
+		var se *httpx.StatusError
+		if errors.As(err, &se) && (se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable) {
 			// 429 is queue-full or tenant rate limiting, 503 is load
 			// shedding; both are back-pressure, not outages, and both
 			// carry a Retry-After worth honouring.
-			wait := retryAfter(resp, pollBackoff(attempt))
+			wait := pollBackoff(attempt)
+			if se.RetryAfter > 0 {
+				wait = time.Duration(se.RetryAfter) * time.Second
+			}
 			fmt.Fprintf(os.Stderr, "scrubsim: daemon busy (%s), retrying submission in %s\n",
-				strings.TrimSpace(string(raw)), wait.Round(time.Millisecond))
+				se.Msg, wait.Round(time.Millisecond))
 			select {
 			case <-ctx.Done():
 				return nil, fmt.Errorf("submit to %s: %w", base, ctx.Err())
@@ -477,11 +450,11 @@ func submitJob(ctx context.Context, base string, spec service.Spec, pollTimeout 
 			}
 			continue
 		}
-		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("submit to %s: %s: %s", base, resp.Status, strings.TrimSpace(string(raw)))
+		if err != nil {
+			return nil, fmt.Errorf("submit to %s: %w", base, err)
 		}
-		if err := json.Unmarshal(raw, &sub); err != nil || sub.ID == "" {
-			return nil, fmt.Errorf("submit to %s: unexpected reply %q", base, raw)
+		if sub.ID == "" {
+			return nil, fmt.Errorf("submit to %s: reply carries no job id", base)
 		}
 		break
 	}
@@ -493,7 +466,7 @@ func submitJob(ctx context.Context, base string, spec service.Spec, pollTimeout 
 			return nil, err
 		}
 		switch view.State {
-		case "done":
+		case service.StateDone:
 			if view.Result == nil {
 				return nil, fmt.Errorf("job %s done without a result", sub.ID)
 			}
@@ -502,9 +475,9 @@ func submitJob(ctx context.Context, base string, spec service.Spec, pollTimeout 
 				return nil, fmt.Errorf("decode job %s result: %w", sub.ID, err)
 			}
 			return &res, nil
-		case "failed":
+		case service.StateFailed:
 			return nil, fmt.Errorf("job %s failed: %s", sub.ID, view.Error)
-		case "cancelled":
+		case service.StateCancelled:
 			return nil, fmt.Errorf("job %s was cancelled", sub.ID)
 		}
 		select {
@@ -517,22 +490,9 @@ func submitJob(ctx context.Context, base string, spec service.Spec, pollTimeout 
 
 // fetchJob reads one job view from the daemon.
 func fetchJob(ctx context.Context, base, id string) (*service.JobView, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("poll job %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("poll job %s: %s: %s", id, resp.Status, strings.TrimSpace(string(raw)))
-	}
 	var view service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return nil, fmt.Errorf("decode job %s view: %w", id, err)
+	if _, err := httpx.Call(ctx, nil, http.MethodGet, base+"/v1/jobs/"+id, nil, nil, &view); err != nil {
+		return nil, fmt.Errorf("poll job %s: %w", id, err)
 	}
 	return &view, nil
 }

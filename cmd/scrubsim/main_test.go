@@ -3,14 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpx"
 	"repro/internal/mem"
 	"repro/internal/scrub"
 	"repro/internal/service"
@@ -192,6 +196,45 @@ func TestSubmitJobBadSpec(t *testing.T) {
 	_, err := submitJob(context.Background(), srv.URL, service.Spec{Workload: "no-such-workload"}, time.Minute)
 	if err == nil {
 		t.Fatal("submitJob accepted an invalid spec")
+	}
+}
+
+// TestSubmitJobRetriesBackPressure pins that a 429 and then a 503, each
+// with Retry-After: 0, are retried and the third submission lands.
+func TestSubmitJobRetriesBackPressure(t *testing.T) {
+	svc := service.New(service.Config{QueueCapacity: 4, Workers: 1, CacheCapacity: 4})
+	defer shutdownService(t, svc)
+	daemon := service.NewHandler(svc)
+	var submits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			switch submits.Add(1) {
+			case 1:
+				w.Header().Set("Retry-After", "0")
+				httpx.WriteError(w, http.StatusTooManyRequests, errors.New("queue full"))
+				return
+			case 2:
+				w.Header().Set("Retry-After", "0")
+				httpx.WriteError(w, http.StatusServiceUnavailable, errors.New("shedding"))
+				return
+			}
+		}
+		daemon.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	spec := service.Spec{Mechanism: "basic", Workload: "db-oltp", HorizonSec: 7200, Geometry: &mem.Geometry{
+		Channels: 1, RanksPerChan: 1, BanksPerRank: 2, RowsPerBank: 8, LinesPerRow: 8, LineBytes: 64,
+	}}
+	res, err := submitJob(context.Background(), srv.URL, spec, time.Minute)
+	if err != nil {
+		t.Fatalf("submitJob: %v", err)
+	}
+	if n := submits.Load(); n != 3 {
+		t.Errorf("submissions = %d, want 3 (429, 503, accepted)", n)
+	}
+	if len(res.Runs) != 1 {
+		t.Errorf("runs = %d, want 1", len(res.Runs))
 	}
 }
 

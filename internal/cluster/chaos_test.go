@@ -21,7 +21,7 @@ import (
 // tripped workers probe again within the test, and a low threshold so
 // the breaker actually participates.
 func chaosMembership() *Membership {
-	return NewMembershipWith(MembershipConfig{
+	return NewMembership(MembershipConfig{
 		PerWorkerInFlight: 2,
 		BreakerThreshold:  2,
 		BreakerCooldown:   100 * time.Millisecond,
@@ -300,7 +300,7 @@ func newRecordingShardLog(resumePlan []journal.ShardRange, checkpoints map[journ
 // is recorded under its range.
 func TestClusterFreshJobJournalsPlanAndShards(t *testing.T) {
 	spec := tinySpec(t, 8)
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	_, srv := newWorkerServer(t, 4)
 	mustJoin(t, ms, srv.URL)
 
@@ -354,7 +354,7 @@ func TestClusterResumeByteIdentity(t *testing.T) {
 	// plan must still be honoured (checkpoint reused, remainder local).
 	rec := newRecordingShardLog(plan, map[journal.ShardRange]json.RawMessage{plan[0]: payload})
 	ctx := service.WithShardLog(context.Background(), rec.sl)
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	res, err := c.Run(ctx, spec)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -392,7 +392,7 @@ func TestClusterResumeSurvivesCorruptCheckpoint(t *testing.T) {
 		plan[1]: json.RawMessage(`not json at all`),
 	})
 	ctx := service.WithShardLog(context.Background(), rec.sl)
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	res, err := c.Run(ctx, spec)
 	if err != nil {
 		t.Fatalf("resumed run with corrupt checkpoints: %v", err)
@@ -433,9 +433,9 @@ func TestClusterServiceJournalEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal.Open: %v", err)
 	}
-	specJSON, _ := json.Marshal(spec)
+	rawSpec, _ := json.Marshal(spec)
 	for _, r := range []journal.Record{
-		{Type: journal.TypeSubmitted, Job: "job-000001", Fingerprint: spec.Fingerprint(), Spec: specJSON},
+		{Type: journal.TypeSubmitted, Job: "job-000001", Fingerprint: spec.Fingerprint(), Spec: rawSpec},
 		{Type: journal.TypeStarted, Job: "job-000001"},
 		{Type: journal.TypePlan, Job: "job-000001", Plan: plan},
 		{Type: journal.TypeShardDone, Job: "job-000001", Shard: &plan[0], Payload: payload},
@@ -451,7 +451,7 @@ func TestClusterServiceJournalEndToEnd(t *testing.T) {
 		t.Fatalf("reopen journal: %v", err)
 	}
 	defer jn2.Close()
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	svc := service.New(service.Config{Workers: 1, Runner: c.Runner(), Journal: jn2})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

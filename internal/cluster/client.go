@@ -1,28 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/httpx"
 )
-
-// StatusError is a non-2xx HTTP reply from a worker. The coordinator
-// distinguishes it from transport errors: a StatusError proves the node
-// is serving (exclude it for this shard only), while a transport error
-// makes the whole node suspect (mark it dead).
-type StatusError struct {
-	Code int
-	Msg  string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("cluster: worker returned %d: %s", e.Code, e.Msg)
-}
 
 // DeadlineHeader carries the job deadline (RFC 3339, nanoseconds) on
 // shard requests, so a worker bounds the simulation itself instead of
@@ -32,76 +18,25 @@ const DeadlineHeader = "X-Scrubd-Deadline"
 // postShard sends one shard request to a worker's base URL and decodes
 // the response. Cancelling ctx aborts the request (and, on the worker,
 // the simulation); a ctx deadline additionally propagates explicitly via
-// DeadlineHeader.
+// DeadlineHeader. A refusal comes back as *httpx.StatusError.
 func postShard(ctx context.Context, client *http.Client, baseURL string, req *ShardRequest) (*ShardResponse, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode shard request: %w", err)
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+ShardPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: build shard request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	hdr := http.Header{}
 	if dl, ok := ctx.Deadline(); ok {
-		httpReq.Header.Set(DeadlineHeader, dl.Format(time.RFC3339Nano))
-	}
-	httpResp, err := client.Do(httpReq)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: post shard: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: httpResp.StatusCode, Msg: readErrorBody(httpResp.Body)}
+		hdr.Set(DeadlineHeader, dl.Format(time.RFC3339Nano))
 	}
 	var resp ShardResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("cluster: decode shard response: %w", err)
+	if _, err := httpx.Call(ctx, client, http.MethodPost, baseURL+ShardPath, hdr, req, &resp); err != nil {
+		return nil, fmt.Errorf("cluster: post shard: %w", err)
 	}
 	return &resp, nil
 }
 
-// readErrorBody extracts the error message from a JSON error reply,
-// falling back to the raw (truncated) body.
-func readErrorBody(r io.Reader) string {
-	raw, err := io.ReadAll(io.LimitReader(r, 4096))
-	if err != nil {
-		return "unreadable error body"
-	}
-	var wire struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &wire) == nil && wire.Error != "" {
-		return wire.Error
-	}
-	return strings.TrimSpace(string(raw))
-}
-
 // Join announces a worker's base URL to a coordinator once.
 func Join(ctx context.Context, client *http.Client, coordinatorURL, selfURL string) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(JoinRequest{URL: selfURL})
-	if err != nil {
-		return fmt.Errorf("cluster: encode join request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+JoinPath, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("cluster: build join request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	_, err := httpx.Call(ctx, client, http.MethodPost, strings.TrimSuffix(coordinatorURL, "/")+JoinPath,
+		nil, JoinRequest{URL: selfURL}, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: join %s: %w", coordinatorURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
 	}
 	return nil
 }

@@ -88,7 +88,7 @@ func TestClusterMatchesStandalone(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	workers := make([]*Worker, 3)
 	for i := range workers {
 		w, srv := newWorkerServer(t, 2)
@@ -131,7 +131,7 @@ func TestClusterFailoverOnWorkerCrash(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	for i := 0; i < 2; i++ {
 		_, srv := newWorkerServer(t, 2)
 		mustJoin(t, ms, srv.URL)
@@ -181,7 +181,7 @@ func TestClusterHTTPErrorExcludesWithoutDeath(t *testing.T) {
 	spec := tinySpec(t, 4)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(4)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 4})
 	_, srv := newWorkerServer(t, 4)
 	mustJoin(t, ms, srv.URL)
 
@@ -219,7 +219,7 @@ func TestClusterLocalFallbackNoWorkers(t *testing.T) {
 	spec := tinySpec(t, 3)
 	want := standaloneJSON(t, spec)
 
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	res, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("local-fallback run: %v", err)
@@ -240,7 +240,7 @@ func TestClusterShardLocalFallbackAfterDeath(t *testing.T) {
 	spec := tinySpec(t, 4)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	mux := http.NewServeMux()
 	mux.HandleFunc(HealthPath, func(rw http.ResponseWriter, r *http.Request) {
 		rw.WriteHeader(http.StatusOK)
@@ -271,7 +271,7 @@ func TestClusterShardLocalFallbackAfterDeath(t *testing.T) {
 func TestClusterRunCancellation(t *testing.T) {
 	spec := tinySpec(t, 8)
 	_, srv := newWorkerServer(t, 2)
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	mustJoin(t, ms, srv.URL)
 	c := NewCoordinator(Config{Members: ms})
 
@@ -283,7 +283,7 @@ func TestClusterRunCancellation(t *testing.T) {
 }
 
 func TestMembershipJoinIdempotent(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembership(MembershipConfig{})
 	a := mustJoin(t, ms, "http://10.0.0.1:8080")
 	b := mustJoin(t, ms, "http://10.0.0.1:8080/")
 	if a.ID != b.ID {
@@ -303,7 +303,7 @@ func TestMembershipJoinIdempotent(t *testing.T) {
 }
 
 func TestMembershipJoinRejectsBadURL(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembership(MembershipConfig{})
 	for _, bad := range []string{"", "not-a-url", "10.0.0.1:8080", "/relative"} {
 		if _, err := ms.Join(bad); err == nil {
 			t.Errorf("Join(%q) accepted an invalid URL", bad)
@@ -312,7 +312,7 @@ func TestMembershipJoinRejectsBadURL(t *testing.T) {
 }
 
 func TestMembershipAcquire(t *testing.T) {
-	ms := NewMembership(1)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 1})
 	ctx := context.Background()
 
 	if _, _, err := ms.acquire(ctx, nil); !errors.Is(err, ErrNoWorkers) {
@@ -384,7 +384,7 @@ func TestMembershipAcquire(t *testing.T) {
 }
 
 func TestMembershipCheckOnce(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembership(MembershipConfig{})
 	var healthy atomic.Bool
 	healthy.Store(true)
 	mux := http.NewServeMux()
@@ -419,7 +419,7 @@ func TestMembershipCheckOnce(t *testing.T) {
 }
 
 func TestCoordinatorHandlerJoinAndList(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembership(MembershipConfig{})
 	c := NewCoordinator(Config{Members: ms})
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)

@@ -17,7 +17,7 @@ import (
 	"repro/internal/service"
 )
 
-// Defaults for shard planning.
+// Shard planning.
 const (
 	// DefaultShardsPerWorker is how many shards a job targets per live
 	// worker — more than one so a straggler doesn't serialise the tail.
@@ -53,11 +53,6 @@ type Config struct {
 	// Client performs shard dispatches (nil = http.DefaultClient). Shard
 	// requests are bounded by the job context, not a client timeout.
 	Client *http.Client
-	// ShardsPerWorker targets this many shards per live worker
-	// (0 = DefaultShardsPerWorker).
-	ShardsPerWorker int
-	// MaxShards caps shards per job (0 = DefaultMaxShards).
-	MaxShards int
 	// RetryBase / RetryMax shape the full-jitter backoff between failed
 	// shard dispatch attempts (0 = DefaultRetryBase / DefaultRetryMax).
 	RetryBase time.Duration
@@ -85,13 +80,11 @@ type Config struct {
 // coordinator node's queue, dedup, and content-addressed cache operate
 // unchanged — the fingerprint still addresses the whole job.
 type Coordinator struct {
-	ms              *Membership
-	client          *http.Client
-	shardsPerWorker int
-	maxShards       int
-	backoff         *Backoff
-	spec            speculationConfig
-	gossip          *cacheGossip
+	ms      *Membership
+	client  *http.Client
+	backoff *Backoff
+	spec    speculationConfig
+	gossip  *cacheGossip
 
 	jobsSharded      atomic.Int64
 	jobsLocal        atomic.Int64
@@ -135,12 +128,10 @@ func NewCoordinator(cfg Config) *Coordinator {
 		panic("cluster: Coordinator needs a Membership")
 	}
 	c := &Coordinator{
-		ms:              cfg.Members,
-		client:          cfg.Client,
-		shardsPerWorker: cfg.ShardsPerWorker,
-		maxShards:       cfg.MaxShards,
-		gossip:          newCacheGossip(),
-		claims:          make(map[string]stealRef),
+		ms:     cfg.Members,
+		client: cfg.Client,
+		gossip: newCacheGossip(),
+		claims: make(map[string]stealRef),
 		spec: speculationConfig{
 			Factor:   cfg.SpeculationFactor,
 			MinWait:  cfg.SpeculationMinWait,
@@ -148,15 +139,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 			Quantile: defaultSpeculationQuantile,
 			Disabled: cfg.DisableSpeculation,
 		},
-	}
-	if c.client == nil {
-		c.client = http.DefaultClient
-	}
-	if c.shardsPerWorker <= 0 {
-		c.shardsPerWorker = DefaultShardsPerWorker
-	}
-	if c.maxShards <= 0 {
-		c.maxShards = DefaultMaxShards
 	}
 	if c.spec.Factor <= 0 {
 		c.spec.Factor = DefaultSpeculationFactor
@@ -294,7 +276,7 @@ func (c *Coordinator) Run(ctx context.Context, spec service.Spec) (*service.Resu
 			}
 			return service.NewResult(spec, rep), nil
 		}
-		plan = planShards(n, min(alive*c.shardsPerWorker, c.maxShards))
+		plan = planShards(n, min(alive*DefaultShardsPerWorker, DefaultMaxShards))
 		if sl != nil {
 			jp := make([]journal.ShardRange, len(plan))
 			for i, rg := range plan {
@@ -589,7 +571,7 @@ func (c *Coordinator) claim(ctx context.Context, b *board, t *shardTask, kind cl
 	// breaker as a success even though this shard moves on. Anything else
 	// (dial/read failure, garbled body) counts against the breaker and
 	// marks the node suspect.
-	var se *StatusError
+	var se *httpx.StatusError
 	transport := err != nil && !errors.As(err, &se)
 	if transport {
 		c.ms.ReportFailure(id)

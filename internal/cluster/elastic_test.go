@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func TestRingRemapMinimal(t *testing.T) {
 // join and eviction but not on health flips — a bouncing worker must
 // not reshuffle placements.
 func TestRingVersionBumpsOnChurnOnly(t *testing.T) {
-	ms := NewMembershipWith(MembershipConfig{WorkerTTL: time.Minute})
+	ms := NewMembership(MembershipConfig{WorkerTTL: time.Minute})
 	v0 := ms.RingVersion()
 	a := mustJoin(t, ms, "http://10.0.0.1:1")
 	mustJoin(t, ms, "http://10.0.0.2:1")
@@ -111,7 +112,7 @@ func TestRingVersionBumpsOnChurnOnly(t *testing.T) {
 // key's ring owner and falls over in ring order when the owner is
 // excluded.
 func TestAcquireRankedFollowsRing(t *testing.T) {
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	for i := 1; i <= 3; i++ {
 		mustJoin(t, ms, fmt.Sprintf("http://10.0.0.%d:1", i))
 	}
@@ -146,7 +147,7 @@ type runOutcome struct {
 
 func parkedCampaign(t *testing.T, spec service.Spec) (*Coordinator, *httptest.Server, string, chan runOutcome) {
 	t.Helper()
-	ms := NewMembership(1)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 1})
 	m := mustJoin(t, ms, "http://127.0.0.1:1") // never dialed: its one slot is held below
 	id, _, err := ms.acquire(context.Background(), nil)
 	if err != nil || id != m.ID {
@@ -192,7 +193,7 @@ func stealAll(t *testing.T, srv *httptest.Server, w *Worker, selfURL string) int
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		resp, err := w.execute(ctx, req)
+		resp, err := runShard(ctx, w, req)
 		if err != nil {
 			t.Fatalf("execute stolen shard: %v", err)
 		}
@@ -276,7 +277,7 @@ func TestStealSurvivesTTLEvictionMidClaim(t *testing.T) {
 		if req == nil {
 			break
 		}
-		resp, err := thief.execute(ctx, req)
+		resp, err := runShard(ctx, thief, req)
 		if err != nil {
 			t.Fatalf("execute stolen shard: %v", err)
 		}
@@ -375,7 +376,7 @@ func TestStealAbandonedByDeadThief(t *testing.T) {
 	// The dead thief's delivery arrives after the campaign closed: it
 	// must be refused (not merged, not crashed).
 	thief := NewWorker(1)
-	resp, err := thief.execute(ctx, req)
+	resp, err := runShard(ctx, thief, req)
 	if err != nil {
 		t.Fatalf("late execute: %v", err)
 	}
@@ -388,11 +389,21 @@ func TestStealAbandonedByDeadThief(t *testing.T) {
 	}
 }
 
+// runShard prepares and executes req on w, as the push and steal paths
+// do.
+func runShard(ctx context.Context, w *Worker, req *ShardRequest) (*ShardResponse, error) {
+	job, err := prepareShard(req)
+	if err != nil {
+		return nil, err
+	}
+	return w.execute(ctx, job)
+}
+
 // --- Board arbitration ---
 
 func testBoard(t *testing.T, spec service.Spec, ranges []shardRange) (*Coordinator, *board, context.Context) {
 	t.Helper()
-	c := NewCoordinator(Config{Members: NewMembership(1), DisableSpeculation: true})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{PerWorkerInFlight: 1}), DisableSpeculation: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	b := newBoard(c, spec.Fingerprint(), spec, ranges, cancel)
@@ -411,7 +422,7 @@ func TestBoardDuplicateResultDiscarded(t *testing.T) {
 	task := b.tasks[0]
 
 	w := NewWorker(1)
-	resp, err := w.execute(context.Background(), &ShardRequest{Spec: spec, First: 0, Count: 2})
+	resp, err := runShard(context.Background(), w, &ShardRequest{Spec: spec, First: 0, Count: 2})
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -443,7 +454,7 @@ func TestBoardIntegrityMismatchAborts(t *testing.T) {
 	task := b.tasks[0]
 
 	w := NewWorker(1)
-	good, err := w.execute(context.Background(), &ShardRequest{Spec: spec, First: 0, Count: 2})
+	good, err := runShard(context.Background(), w, &ShardRequest{Spec: spec, First: 0, Count: 2})
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -486,7 +497,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	// Worker A: hangs its first shard until the coordinator cancels it;
 	// serves normally afterwards.
 	realA := NewWorker(2)
@@ -545,7 +556,7 @@ func TestSpeculativeDuplicateStorm(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(4)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 4})
 	for i := 0; i < 3; i++ {
 		_, srv := newWorkerServer(t, 4)
 		mustJoin(t, ms, srv.URL)
@@ -593,7 +604,7 @@ func TestSpeculativeWinCounters(t *testing.T) {
 	spec := tinySpec(t, 8)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	real := NewWorker(2)
 	var first atomic.Bool
 	mux := http.NewServeMux()
@@ -634,7 +645,7 @@ func TestLocalFallbackCounters(t *testing.T) {
 	spec := tinySpec(t, 1)
 	want := standaloneJSON(t, spec)
 
-	ms := NewMembership(2)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
 	srv := httptest.NewServer(http.NotFoundHandler())
 	mustJoin(t, ms, srv.URL)
 	srv.Close()
@@ -693,7 +704,7 @@ func TestGossipAnswersWholeJob(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	ms := NewMembership(1)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 1})
 	mustJoin(t, ms, srv.URL)
 	c := NewCoordinator(Config{Members: ms, Client: srv.Client()})
 	c.GossipOnce(context.Background(), time.Second)
@@ -737,6 +748,46 @@ func TestGossipRejectsMismatchedFingerprint(t *testing.T) {
 
 // --- Deadline parity (satellite a) ---
 
+// TestDispatchCarriesDeadlineHeader: every shard the coordinator pushes
+// to a worker carries the job deadline in DeadlineHeader, to the
+// nanosecond.
+func TestDispatchCarriesDeadlineHeader(t *testing.T) {
+	spec := tinySpec(t, 4)
+	w := NewWorker(2)
+	var mu sync.Mutex
+	var got []string
+	mux := http.NewServeMux()
+	mux.HandleFunc(ShardPath, func(rw http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, r.Header.Get(DeadlineHeader))
+		mu.Unlock()
+		w.ShardHandler().ServeHTTP(rw, r)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	ms := NewMembership(MembershipConfig{PerWorkerInFlight: 2})
+	mustJoin(t, ms, srv.URL)
+	c := NewCoordinator(Config{Members: ms, DisableSpeculation: true})
+
+	dl := time.Now().Add(time.Minute).Round(0)
+	ctx, cancel := context.WithDeadline(context.Background(), dl)
+	defer cancel()
+	if _, err := c.Run(ctx, spec); err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) == 0 {
+		t.Fatal("no shard reached the worker")
+	}
+	for i, hdr := range got {
+		at, err := time.Parse(time.RFC3339Nano, hdr)
+		if err != nil || !at.Equal(dl) {
+			t.Errorf("shard %d: %s = %q (%v), want %s", i, DeadlineHeader, hdr, err, dl.Format(time.RFC3339Nano))
+		}
+	}
+}
+
 // TestLocalFallbackHonorsSpecTimeout: with no workers and no caller
 // deadline, a Spec.TimeoutSec budget must still bound the local run —
 // exactly as DeadlineHeader bounds a remote one.
@@ -744,7 +795,7 @@ func TestLocalFallbackHonorsSpecTimeout(t *testing.T) {
 	spec := tinySpec(t, 64)
 	spec.TimeoutSec = 0.002 // far less than 64 replicas need
 
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	start := time.Now()
 	_, err := c.Run(context.Background(), spec)
 	if err == nil {
@@ -761,7 +812,7 @@ func TestLocalFallbackHonorsSpecTimeout(t *testing.T) {
 // --- Observability (satellite b) ---
 
 func TestCoordinatorMetricsExposeElasticCounters(t *testing.T) {
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	var buf strings.Builder
 	if err := c.WritePrometheus(&buf); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
@@ -787,7 +838,7 @@ func TestCoordinatorMetricsExposeElasticCounters(t *testing.T) {
 }
 
 func TestHealthzCarriesClusterState(t *testing.T) {
-	c := NewCoordinator(Config{Members: NewMembership(0)})
+	c := NewCoordinator(Config{Members: NewMembership(MembershipConfig{})})
 	svc := service.New(service.Config{})
 	t.Cleanup(func() { _ = svc.Shutdown(context.Background()) })
 	h := service.NewHandlerWith(svc, service.HandlerConfig{
@@ -822,7 +873,7 @@ func TestHealthzCarriesClusterState(t *testing.T) {
 
 // TestRingEndpoint exercises GET /v1/cluster/ring.
 func TestRingEndpoint(t *testing.T) {
-	ms := NewMembership(0)
+	ms := NewMembership(MembershipConfig{})
 	mustJoin(t, ms, "http://10.0.0.1:1")
 	mustJoin(t, ms, "http://10.0.0.2:1")
 	c := NewCoordinator(Config{Members: ms})

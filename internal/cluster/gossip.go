@@ -2,13 +2,13 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/service"
 )
 
@@ -38,9 +38,6 @@ func newCacheGossip() *cacheGossip {
 // drops out of the table until the next sweep. Each probe is bounded by
 // timeout (0 = 2s).
 func (g *cacheGossip) sweep(ctx context.Context, client *http.Client, targets []string, timeout time.Duration) {
-	if client == nil {
-		client = http.DefaultClient
-	}
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
@@ -101,23 +98,11 @@ func (g *cacheGossip) stats() (entries int, sweeps int64, age time.Duration) {
 
 // fetchCacheIndex lists one node's cached fingerprints.
 func fetchCacheIndex(ctx context.Context, client *http.Client, baseURL string) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+service.CacheIndexPath, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
-	}
 	var wire struct {
 		Fingerprints []string `json:"fingerprints"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("cluster: decode cache index: %w", err)
+	if _, err := httpx.Call(ctx, client, http.MethodGet, baseURL+service.CacheIndexPath, nil, nil, &wire); err != nil {
+		return nil, fmt.Errorf("cluster: cache index: %w", err)
 	}
 	return wire.Fingerprints, nil
 }
@@ -126,22 +111,9 @@ func fetchCacheIndex(ctx context.Context, client *http.Client, baseURL string) (
 // it decodes to the requested fingerprint — a mislabeled or truncated
 // body must never be served as the job's answer.
 func fetchCachedResult(ctx context.Context, client *http.Client, baseURL, fp string) (*service.Result, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+service.CacheResultsPrefix+fp, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
-	}
 	var res service.Result
-	dec := json.NewDecoder(resp.Body)
-	if err := dec.Decode(&res); err != nil {
-		return nil, fmt.Errorf("cluster: decode cached result: %w", err)
+	if _, err := httpx.Call(ctx, client, http.MethodGet, baseURL+service.CacheResultsPrefix+fp, nil, nil, &res); err != nil {
+		return nil, fmt.Errorf("cluster: cached result: %w", err)
 	}
 	if res.Fingerprint != fp {
 		return nil, fmt.Errorf("cluster: holder %s served result %q for requested %q", baseURL, res.Fingerprint, fp)

@@ -115,7 +115,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // after another failed dispatch.
 func TestMembershipBreakerRoutesAway(t *testing.T) {
 	now := time.Unix(2000, 0)
-	ms := NewMembershipWith(MembershipConfig{
+	ms := NewMembership(MembershipConfig{
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 	})
@@ -163,7 +163,7 @@ func TestMembershipBreakerRoutesAway(t *testing.T) {
 
 func TestMembershipTTLEviction(t *testing.T) {
 	now := time.Unix(3000, 0)
-	ms := NewMembershipWith(MembershipConfig{WorkerTTL: time.Minute})
+	ms := NewMembership(MembershipConfig{WorkerTTL: time.Minute})
 	ms.now = func() time.Time { return now }
 	m := mustJoinMember(t, ms, "http://gone.example")
 	keep := mustJoinMember(t, ms, "http://kept.example")
@@ -197,7 +197,7 @@ func TestMembershipTTLEviction(t *testing.T) {
 
 func TestMembershipTTLSparesInFlight(t *testing.T) {
 	now := time.Unix(4000, 0)
-	ms := NewMembershipWith(MembershipConfig{WorkerTTL: time.Minute})
+	ms := NewMembership(MembershipConfig{WorkerTTL: time.Minute})
 	ms.now = func() time.Time { return now }
 	m := mustJoinMember(t, ms, "http://busy.example")
 	id, _, err := ms.acquire(context.Background(), nil)

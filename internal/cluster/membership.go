@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httpx"
 )
 
 // ErrNoWorkers reports that no live, non-excluded worker exists — the
@@ -92,15 +94,8 @@ type MembershipConfig struct {
 	BreakerCooldown time.Duration
 }
 
-// NewMembership creates an empty membership with the given per-worker
-// in-flight bound (0 = DefaultPerWorkerInFlight) and default breaker
-// and TTL policies.
-func NewMembership(perWorkerInFlight int) *Membership {
-	return NewMembershipWith(MembershipConfig{PerWorkerInFlight: perWorkerInFlight})
-}
-
-// NewMembershipWith creates an empty membership under cfg.
-func NewMembershipWith(cfg MembershipConfig) *Membership {
+// NewMembership creates an empty membership under cfg.
+func NewMembership(cfg MembershipConfig) *Membership {
 	if cfg.PerWorkerInFlight <= 0 {
 		cfg.PerWorkerInFlight = DefaultPerWorkerInFlight
 	}
@@ -409,9 +404,6 @@ func (ms *Membership) evictExpired() {
 // declared dead; anything else marks it dead. Each probe is bounded by
 // timeout.
 func (ms *Membership) CheckOnce(ctx context.Context, client *http.Client, timeout time.Duration) {
-	if client == nil {
-		client = http.DefaultClient
-	}
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
@@ -430,22 +422,11 @@ func (ms *Membership) CheckOnce(ctx context.Context, client *http.Client, timeou
 			defer wg.Done()
 			probeCtx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, tg.url+HealthPath, nil)
-			if err != nil {
+			if status, err := httpx.Call(probeCtx, client, http.MethodGet, tg.url+HealthPath, nil, nil, nil); err != nil || status != http.StatusOK {
 				ms.heartbeatFailures.Add(1)
 				ms.markDead(tg.id)
 				return
 			}
-			resp, err := client.Do(req)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				if err == nil {
-					resp.Body.Close()
-				}
-				ms.heartbeatFailures.Add(1)
-				ms.markDead(tg.id)
-				return
-			}
-			resp.Body.Close()
 			ms.markAlive(tg.id)
 		}(tg)
 	}

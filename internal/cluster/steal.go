@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/httpx"
 )
 
 // StealResponse hands a pending shard to an idle worker. Token is the
@@ -41,71 +41,34 @@ type ClaimAck struct {
 // StealOnce asks a coordinator for one pending shard. It returns
 // (nil, "", nil) when nothing is stealable right now (HTTP 204).
 func StealOnce(ctx context.Context, client *http.Client, coordinatorURL, selfURL string) (*ShardRequest, string, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(JoinRequest{URL: selfURL})
-	if err != nil {
-		return nil, "", fmt.Errorf("cluster: encode steal request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+StealPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, "", fmt.Errorf("cluster: build steal request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	var sr StealResponse
+	status, err := httpx.Call(ctx, client, http.MethodPost, strings.TrimSuffix(coordinatorURL, "/")+StealPath,
+		nil, JoinRequest{URL: selfURL}, &sr)
 	if err != nil {
 		return nil, "", fmt.Errorf("cluster: steal: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
+	if status == http.StatusNoContent {
 		return nil, "", nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", &StatusError{Code: resp.StatusCode, Msg: readErrorBody(resp.Body)}
-	}
-	var sr StealResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, "", fmt.Errorf("cluster: decode steal response: %w", err)
 	}
 	if sr.Deadline != "" {
 		// The deadline rides back to the caller through the request so the
 		// executing context can be bounded; parse errors fail the steal.
-		if _, err := time.Parse(time.RFC3339Nano, sr.Deadline); err != nil {
+		dl, err := time.Parse(time.RFC3339Nano, sr.Deadline)
+		if err != nil {
 			return nil, "", fmt.Errorf("cluster: bad steal deadline %q: %v", sr.Deadline, err)
 		}
-		sr.Shard.deadline = sr.Deadline
+		sr.Shard.deadline = dl
 	}
 	return &sr.Shard, sr.Token, nil
 }
 
 // DeliverClaim posts a stolen shard's result back to the coordinator.
 func DeliverClaim(ctx context.Context, client *http.Client, coordinatorURL, token string, resp *ShardResponse) (ClaimAck, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(ClaimResult{Token: token, Response: resp})
-	if err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: encode claim result: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+ClaimsPath, bytes.NewReader(body))
-	if err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: build claim delivery: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := client.Do(req)
+	var ack ClaimAck
+	_, err := httpx.Call(ctx, client, http.MethodPost, strings.TrimSuffix(coordinatorURL, "/")+ClaimsPath,
+		nil, ClaimResult{Token: token, Response: resp}, &ack)
 	if err != nil {
 		return ClaimAck{}, fmt.Errorf("cluster: deliver claim: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return ClaimAck{}, &StatusError{Code: httpResp.StatusCode, Msg: readErrorBody(httpResp.Body)}
-	}
-	var ack ClaimAck
-	if err := json.NewDecoder(httpResp.Body).Decode(&ack); err != nil {
-		return ClaimAck{}, fmt.Errorf("cluster: decode claim ack: %w", err)
 	}
 	return ack, nil
 }
@@ -158,7 +121,11 @@ func (w *Worker) stealShard(ctx context.Context, client *http.Client, coordinato
 		return // nothing pending
 	}
 	w.stealsClaimed.Add(1)
-	resp, err := w.execute(ctx, req)
+	job, err := prepareShard(req)
+	var resp *ShardResponse
+	if err == nil {
+		resp, err = w.execute(ctx, job)
+	}
 	if err != nil {
 		// The claim is simply abandoned: the primary dispatcher still owns
 		// the range and idempotent completion means nothing is lost.

@@ -19,6 +19,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -47,11 +48,11 @@ type ShardRequest struct {
 	First int          `json:"first"`
 	Count int          `json:"count"`
 
-	// deadline is the propagated campaign deadline (RFC 3339,
-	// nanoseconds; "" = none). It travels out of band — the header on
-	// pushed shards, the StealResponse field on pulled ones — and is
-	// applied by Worker.execute.
-	deadline string
+	// deadline is the propagated campaign deadline (zero = none). It
+	// travels out of band — the header on pushed shards, the
+	// StealResponse field on pulled ones — and is applied by
+	// Worker.execute.
+	deadline time.Time
 }
 
 // Validate checks the range against the spec's replica count.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/httpx"
 	"repro/internal/service"
+	"repro/internal/trace"
 )
 
 // Worker executes shard requests on behalf of a coordinator. Admission
@@ -70,13 +71,8 @@ func (w *Worker) ShardHandler() http.Handler {
 			httpx.WriteError(rw, http.StatusBadRequest, fmt.Errorf("cluster: decode shard request: %w", err))
 			return
 		}
-		norm, err := req.Spec.Normalized()
+		job, err := prepareShard(&req)
 		if err != nil {
-			httpx.WriteError(rw, http.StatusBadRequest, err)
-			return
-		}
-		req.Spec = norm
-		if err := req.Validate(); err != nil {
 			httpx.WriteError(rw, http.StatusBadRequest, err)
 			return
 		}
@@ -86,7 +82,7 @@ func (w *Worker) ShardHandler() http.Handler {
 			w.rejected.Add(1)
 			// The priority rides the spec across the wire: a rejected
 			// interactive shard is invited back sooner than a batch one.
-			service.SetRetryAfterClass(rw.Header(), len(w.sem), w.max, norm.Class())
+			service.SetRetryAfterClass(rw.Header(), len(w.sem), w.max, job.class)
 			httpx.WriteError(rw, http.StatusTooManyRequests,
 				fmt.Errorf("cluster: worker at capacity (%d shards in flight)", w.max))
 			return
@@ -94,14 +90,15 @@ func (w *Worker) ShardHandler() http.Handler {
 		defer func() { <-w.sem }()
 
 		if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
-			if _, err := time.Parse(time.RFC3339Nano, hdr); err != nil {
+			dl, err := time.Parse(time.RFC3339Nano, hdr)
+			if err != nil {
 				httpx.WriteError(rw, http.StatusBadRequest,
 					fmt.Errorf("cluster: bad %s header %q: %v", DeadlineHeader, hdr, err))
 				return
 			}
-			req.deadline = hdr
+			job.deadline = dl
 		}
-		resp, err := w.execute(r.Context(), &req)
+		resp, err := w.execute(r.Context(), job)
 		if err != nil {
 			w.failed.Add(1)
 			httpx.WriteError(rw, http.StatusInternalServerError, err)
@@ -111,40 +108,56 @@ func (w *Worker) ShardHandler() http.Handler {
 	})
 }
 
-// execute runs one (already admitted, normalised) shard request to a
-// wire response, bounding the simulation by the request's propagated
-// deadline. It is the shared execution path of pushed shards
-// (ShardHandler) and pulled ones (StealLoop); the caller holds the
-// admission slot.
-func (w *Worker) execute(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
+// preparedShard is a shard request checked and built for execution.
+type preparedShard struct {
+	first, count int
+	class        service.Class
+	sys          core.System
+	mech         core.Mechanism
+	wl           trace.Workload
+	deadline     time.Time // zero = none
+}
+
+// prepareShard normalises req's spec, checks its range and builds the
+// runnable triple, once for either delivery path: pushed shards
+// (ShardHandler) and pulled ones (stealShard). An error is the
+// request's fault.
+func prepareShard(req *ShardRequest) (*preparedShard, error) {
 	norm, err := req.Spec.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	if err := (&ShardRequest{Spec: norm, First: req.First, Count: req.Count}).Validate(); err != nil {
+	req.Spec = norm
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	sys, mech, wl, err := norm.Build()
 	if err != nil {
 		return nil, err
 	}
-	if req.deadline != "" {
-		dl, err := time.Parse(time.RFC3339Nano, req.deadline)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad shard deadline %q: %v", req.deadline, err)
-		}
+	return &preparedShard{
+		first: req.First, count: req.Count, class: norm.Class(),
+		sys: sys, mech: mech, wl: wl, deadline: req.deadline,
+	}, nil
+}
+
+// execute runs one admitted, prepared shard to a wire response,
+// bounding the simulation by its propagated deadline. The caller holds
+// the admission slot.
+func (w *Worker) execute(ctx context.Context, job *preparedShard) (*ShardResponse, error) {
+	if !job.deadline.IsZero() {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, dl)
+		ctx, cancel = context.WithDeadline(ctx, job.deadline)
 		defer cancel()
 	}
 	w.busy.Add(1)
 	defer w.busy.Add(-1)
-	sh, err := core.RunShardContext(ctx, sys, mech, wl, req.First, req.Count)
+	sh, err := core.RunShardContext(ctx, job.sys, job.mech, job.wl, job.first, job.count)
 	if err != nil {
 		return nil, err
 	}
 	w.executed.Add(1)
-	if c := norm.Class(); c >= 0 && int(c) < len(w.executedByClass) {
+	if c := job.class; c >= 0 && int(c) < len(w.executedByClass) {
 		w.executedByClass[c].Add(1)
 	}
 	return NewShardResponse(sh), nil

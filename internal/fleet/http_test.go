@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/mem"
 )
 
 // doJSON issues a request against the test server and decodes the body.
@@ -57,6 +59,11 @@ func TestFleetHTTPSurface(t *testing.T) {
 	if code := doJSON(t, srv, "POST", "/v1/fleet/devices",
 		DeviceSpec{Workload: "no-such"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad spec status = %d, want 400", code)
+	}
+	overflow := testDeviceSpec(43)
+	overflow.Geometry = &mem.Geometry{Channels: 1 << 32, RanksPerChan: 1 << 32, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64}
+	if code := doJSON(t, srv, "POST", "/v1/fleet/devices", overflow, nil); code != http.StatusBadRequest {
+		t.Errorf("overflowing geometry status = %d, want 400", code)
 	}
 	if code := doJSON(t, srv, "GET", "/v1/fleet/devices/dev-999999", nil, nil); code != http.StatusNotFound {
 		t.Errorf("missing device status = %d, want 404", code)

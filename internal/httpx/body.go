@@ -1,6 +1,7 @@
 // Package httpx holds the small HTTP helpers every daemon surface in
 // this repo shares: request-body capping, JSON decoding, JSON responses,
-// and the Prometheus text writer behind /metrics.
+// the Prometheus text writer behind /metrics, and Call, the one path
+// every outbound JSON request takes.
 // A scrub daemon's ingest path faces untrusted writers; an unbounded
 // body read is an invitation to exhaust the node's memory long before
 // admission control gets a say.

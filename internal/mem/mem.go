@@ -5,7 +5,10 @@
 // way a real memory controller's scrub engine does.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Geometry is the shape of the memory system.
 type Geometry struct {
@@ -32,11 +35,23 @@ func DefaultGeometry() Geometry {
 	}
 }
 
-// Validate checks that every dimension is positive.
+// Validate checks that every dimension is positive and that the line
+// count and byte capacity fit their integer types: a product that wraps
+// would size the simulated region from garbage.
 func (g *Geometry) Validate() error {
 	if g.Channels < 1 || g.RanksPerChan < 1 || g.BanksPerRank < 1 ||
 		g.RowsPerBank < 1 || g.LinesPerRow < 1 || g.LineBytes < 1 {
 		return fmt.Errorf("mem: all geometry dimensions must be >= 1: %+v", *g)
+	}
+	lines := 1
+	for _, d := range []int{g.Channels, g.RanksPerChan, g.BanksPerRank, g.RowsPerBank, g.LinesPerRow} {
+		if lines > math.MaxInt/d {
+			return fmt.Errorf("mem: geometry line count overflows: %+v", *g)
+		}
+		lines *= d
+	}
+	if int64(lines) > math.MaxInt64/int64(g.LineBytes) {
+		return fmt.Errorf("mem: geometry byte capacity overflows: %+v", *g)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,29 @@ func TestValidateRejectsZeroDims(t *testing.T) {
 	g.RowsPerBank = 0
 	if err := g.Validate(); err == nil {
 		t.Error("zero rows accepted")
+	}
+}
+
+// TestValidateRejectsOverflow pins that a geometry whose line count or
+// byte capacity wraps is refused, whatever the wrapped value would be.
+func TestValidateRejectsOverflow(t *testing.T) {
+	cases := map[string]Geometry{
+		"lines wrap to zero":    {Channels: 1 << 32, RanksPerChan: 1 << 32, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64},
+		"lines wrap negative":   {Channels: 3, RanksPerChan: 1 << 62, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64},
+		"lines wrap positive":   {Channels: 1<<32 + 1, RanksPerChan: 1<<32 + 1, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64},
+		"late dimension wraps":  {Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: 1 << 40, LinesPerRow: 1 << 40, LineBytes: 64},
+		"bytes overflow int64":  {Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1 << 60, LineBytes: 64},
+		"bytes overflow at one": {Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 2, LineBytes: math.MaxInt64/2 + 1},
+	}
+	for name, g := range cases {
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v (TotalLines %d)", name, g, g.TotalLines())
+		}
+	}
+	// The largest representable capacity is still valid.
+	edge := Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: math.MaxInt64}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("max-capacity geometry rejected: %v", err)
 	}
 }
 

@@ -189,6 +189,8 @@ func TestHTTPValidation(t *testing.T) {
 		"unknown field": `{"workload":"db-oltp","bogus":1}`,
 		"bad workload":  `{"workload":"nope"}`,
 		"neg horizon":   `{"workload":"db-oltp","horizon_sec":-5}`,
+		"geometry overflow": `{"workload":"db-oltp","geometry":{"channels":4294967296,"ranks_per_chan":4294967296,` +
+			`"banks_per_rank":1,"rows_per_bank":1,"lines_per_row":1,"line_bytes":64}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

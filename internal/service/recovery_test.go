@@ -30,10 +30,10 @@ func TestJournalRecoveryReExecutesIncomplete(t *testing.T) {
 	// Incarnation one accepts the job and "crashes" before running it:
 	// write the submission record exactly as Submit does, then stop.
 	jn, _ := openJournal(t, dir)
-	specJSON, _ := json.Marshal(spec)
+	rawSpec, _ := json.Marshal(spec)
 	if err := jn.Append(journal.Record{
 		Type: journal.TypeSubmitted, Job: "job-000007",
-		Fingerprint: spec.Fingerprint(), Spec: specJSON,
+		Fingerprint: spec.Fingerprint(), Spec: rawSpec,
 	}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -124,9 +124,9 @@ func TestRecoverCancelledWhileDown(t *testing.T) {
 	spec := mustNormalize(t, tinySpec(11))
 
 	jn, _ := openJournal(t, dir)
-	specJSON, _ := json.Marshal(spec)
+	rawSpec, _ := json.Marshal(spec)
 	for _, rec := range []journal.Record{
-		{Type: journal.TypeSubmitted, Job: "job-000001", Fingerprint: spec.Fingerprint(), Spec: specJSON},
+		{Type: journal.TypeSubmitted, Job: "job-000001", Fingerprint: spec.Fingerprint(), Spec: rawSpec},
 		{Type: journal.TypeStarted, Job: "job-000001"},
 		{Type: journal.TypeCancelled, Job: "job-000001", Error: "cancelled by request"},
 	} {
@@ -167,10 +167,10 @@ func TestCancelDuringRecoveryWins(t *testing.T) {
 	spec := mustNormalize(t, tinySpec(13))
 
 	jn, _ := openJournal(t, dir)
-	specJSON, _ := json.Marshal(spec)
+	rawSpec, _ := json.Marshal(spec)
 	if err := jn.Append(journal.Record{
 		Type: journal.TypeSubmitted, Job: "job-000001",
-		Fingerprint: spec.Fingerprint(), Spec: specJSON,
+		Fingerprint: spec.Fingerprint(), Spec: rawSpec,
 	}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -264,9 +264,9 @@ func TestRecoveredJobCarriesShardResume(t *testing.T) {
 	plan := []journal.ShardRange{{First: 0, Count: 2}, {First: 2, Count: 1}}
 	payload := json.RawMessage(`{"first":0,"count":2}`)
 	jn, _ := openJournal(t, dir)
-	specJSON, _ := json.Marshal(spec)
+	rawSpec, _ := json.Marshal(spec)
 	for _, rec := range []journal.Record{
-		{Type: journal.TypeSubmitted, Job: "job-000001", Fingerprint: spec.Fingerprint(), Spec: specJSON},
+		{Type: journal.TypeSubmitted, Job: "job-000001", Fingerprint: spec.Fingerprint(), Spec: rawSpec},
 		{Type: journal.TypeStarted, Job: "job-000001"},
 		{Type: journal.TypePlan, Job: "job-000001", Plan: plan},
 		{Type: journal.TypeShardDone, Job: "job-000001", Shard: &plan[0], Payload: payload},

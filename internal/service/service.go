@@ -559,13 +559,13 @@ func (s *Service) journalSubmitted(jobs []*job) error {
 	}
 	recs := make([]journal.Record, 0, len(jobs))
 	for _, j := range jobs {
-		specJSON, err := json.Marshal(j.spec)
+		rawSpec, err := json.Marshal(j.spec)
 		if err != nil {
 			return fmt.Errorf("service: encode spec for journal: %w", err)
 		}
 		recs = append(recs, journal.Record{
 			Type: journal.TypeSubmitted, Job: j.id,
-			Fingerprint: j.fingerprint, Spec: specJSON,
+			Fingerprint: j.fingerprint, Spec: rawSpec,
 		})
 	}
 	return s.journal.AppendBatch(recs)

@@ -120,9 +120,17 @@ func TestNormalizedRejects(t *testing.T) {
 		"neg replicas":     {Workload: "db-oltp", Replicas: -1},
 		"neg fault rate":   {Workload: "db-oltp", Fault: &fault.Plan{SweepSkipRate: -0.5}},
 		"bad geometry":     {Workload: "db-oltp", Geometry: &mem.Geometry{Channels: 1}},
-		"neg horizon":      {Workload: "db-oltp", HorizonSec: -5},
-		"neg risk target":  {Workload: "db-oltp", RiskTarget: -0.5},
-		"neg substeps":     {Workload: "db-oltp", Substeps: -1},
+		// Line counts that wrap to zero, to a negative, and to a positive
+		// 8,589,934,593.
+		"geometry wraps to zero": {Workload: "db-oltp", Geometry: &mem.Geometry{
+			Channels: 1 << 32, RanksPerChan: 1 << 32, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64}},
+		"geometry wraps negative": {Workload: "db-oltp", Geometry: &mem.Geometry{
+			Channels: 3, RanksPerChan: 1 << 62, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64}},
+		"geometry wraps positive": {Workload: "db-oltp", Geometry: &mem.Geometry{
+			Channels: 1<<32 + 1, RanksPerChan: 1<<32 + 1, BanksPerRank: 1, RowsPerBank: 1, LinesPerRow: 1, LineBytes: 64}},
+		"neg horizon":     {Workload: "db-oltp", HorizonSec: -5},
+		"neg risk target": {Workload: "db-oltp", RiskTarget: -0.5},
+		"neg substeps":    {Workload: "db-oltp", Substeps: -1},
 	}
 	for name, s := range cases {
 		if _, err := s.Normalized(); err == nil {

@@ -124,7 +124,7 @@ func TestSubmitWithMatchesOneSpecBatch(t *testing.T) {
 // and recovery itself counts no acceptance or cache miss.
 func TestRecoverSharedFingerprintRerunsBoth(t *testing.T) {
 	spec := mustNormalize(t, tinySpec(4))
-	specJSON, err := json.Marshal(spec)
+	rawSpec, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestRecoverSharedFingerprintRerunsBoth(t *testing.T) {
 	s := New(Config{Workers: 2, Runner: br.run})
 	defer shutdown(t, s)
 	n, err := s.Recover(&journal.Recovery{Jobs: []*journal.JobState{
-		{ID: "job-000003", Fingerprint: spec.Fingerprint(), Spec: specJSON, State: journal.TypeSubmitted},
-		{ID: "job-000005", Fingerprint: spec.Fingerprint(), Spec: specJSON, State: journal.TypeStarted},
+		{ID: "job-000003", Fingerprint: spec.Fingerprint(), Spec: rawSpec, State: journal.TypeSubmitted},
+		{ID: "job-000005", Fingerprint: spec.Fingerprint(), Spec: rawSpec, State: journal.TypeStarted},
 	}})
 	if err != nil || n != 2 {
 		t.Fatalf("Recover = %d, %v; want 2 requeued", n, err)
